@@ -384,10 +384,16 @@ pub fn backward_with(
     grads
         .du
         .add_assign(&dgates.par_matmul_tn(h_prev, kernel)?)?;
+    // δb is summed over the batch from zero, then added once — the
+    // same rounding as every other per-cell gradient.
+    let mut db = vec![0.0f32; grads.db.len()];
     for r in 0..dgates.rows() {
-        for (acc, &g) in grads.db.iter_mut().zip(dgates.row(r).iter()) {
+        for (acc, &g) in db.iter_mut().zip(dgates.row(r).iter()) {
             *acc += g;
         }
+    }
+    for (acc, &g) in grads.db.iter_mut().zip(db.iter()) {
+        *acc += g;
     }
 
     Ok(CellBackwardOut {
@@ -749,11 +755,15 @@ pub(crate) fn forward_into_with_preact(
 }
 
 /// Zero-alloc backward pass of one cell against pre-packed weight
-/// panels and reused [`BwdBuffers`]: the accumulated state gradient and
-/// the `[batch, 4H]` gate-gradient block are written in place (no
-/// `clone`, no `hcat`), and the weight gradients accumulate directly
-/// into `grads` via the fused-accumulate GEMM. Bit-identical to
-/// [`backward_with`].
+/// panels and reused [`BwdBuffers`]. The accumulated state gradient
+/// and the `[batch, 4H]` gate-gradient block are written in place (no
+/// `clone`, no `hcat`); `δX_t` lands in `dx` (`[batch, in]`), and
+/// `δH_{t−1}`/`δS_{t−1}` in `bwd.dh_prev`/`bwd.ds_prev`. The weight
+/// gradients accumulate straight into `grads` through the fused
+/// accumulate-and-measure GEMM, so no weight-sized temporary exists;
+/// `δb` is summed per cell in `bwd.db` and added once. Returns the
+/// cell's gradient magnitude (the L1 of its `δW` and `δU`
+/// contributions, paper Fig. 8). Bit-identical to [`backward_with`].
 ///
 /// # Errors
 ///
@@ -767,10 +777,11 @@ pub fn backward_ws(
     dh_total: &Matrix,
     ds: &Matrix,
     grads: &mut CellGrads,
+    dx: &mut Matrix,
     kernel: &ParallelConfig,
     bwd: &mut BwdBuffers,
     instruments: &crate::layer::Instruments,
-) -> Result<CellBackwardOut> {
+) -> Result<f64> {
     let (batch, h) = (dh_total.rows(), dh_total.cols());
     for m in [p1.p_i, p1.p_f, p1.p_c, p1.p_o, p1.p_h, p1.p_s, ds] {
         if m.rows() != batch || m.cols() != h {
@@ -784,7 +795,14 @@ pub fn backward_ws(
         }
     }
     bwd.ensure(batch, h);
-    let BwdBuffers { ds_acc, dgates } = bwd;
+    let BwdBuffers {
+        ds_acc,
+        dgates,
+        db,
+        dh_prev,
+        ds_prev,
+        tn,
+    } = bwd;
 
     let ew_scope = instruments.scope("bp_ew");
     // BP-EW-P2: δS' = δS + δH' ⊙ p_h, fused in place.
@@ -839,7 +857,15 @@ pub fn backward_ws(
         }
     }
 
-    let ds_prev = ds_acc.hadamard(p1.p_s)?;
+    // δS_{t−1} = δS' ⊙ p_s (the hadamard's multiply order).
+    for ((dst, &dsv), &ps) in ds_prev
+        .as_mut_slice()
+        .iter_mut()
+        .zip(ds_acc.as_slice())
+        .zip(p1.p_s.as_slice())
+    {
+        *dst = dsv * ps;
+    }
     drop(ew_scope);
 
     let gemm_scope = instruments.scope(gemm_label(
@@ -850,24 +876,25 @@ pub fn backward_ws(
         panels.w_bwd.n(),
     ));
     // BP-MatMul (Eq. 2) over the cached backward panels.
-    let dx = dgates.par_matmul_nn_packed(&panels.w_bwd, kernel)?;
-    let dh_prev = dgates.par_matmul_nn_packed(&panels.u_bwd, kernel)?;
+    dgates.matmul_nn_packed_into(&panels.w_bwd, dx, Store::Assign, kernel)?;
+    dgates.matmul_nn_packed_into(&panels.u_bwd, dh_prev, Store::Assign, kernel)?;
 
-    // BP-MatMul (Eq. 3): accumulate weight gradients in place.
-    dgates.matmul_tn_acc_into(x, &mut grads.dw, kernel)?;
-    dgates.matmul_tn_acc_into(h_prev, &mut grads.du, kernel)?;
+    // BP-MatMul (Eq. 3): accumulate weight gradients in place,
+    // measuring each product as it lands.
+    let magnitude = dgates.matmul_tn_acc_into(x, &mut grads.dw, tn, kernel)?
+        + dgates.matmul_tn_acc_into(h_prev, &mut grads.du, tn, kernel)?;
+    db.fill(0.0);
     for row in dgates.as_slice().chunks_exact(4 * h) {
-        for (acc, &g) in grads.db.iter_mut().zip(row.iter()) {
+        for (acc, &g) in db.iter_mut().zip(row.iter()) {
             *acc += g;
         }
     }
+    for (acc, &g) in grads.db.iter_mut().zip(db.iter()) {
+        *acc += g;
+    }
     drop(gemm_scope);
 
-    Ok(CellBackwardOut {
-        dx,
-        dh_prev,
-        ds_prev,
-    })
+    Ok(magnitude)
 }
 
 #[cfg(test)]
@@ -1087,6 +1114,7 @@ mod tests {
                 backward_with(&params, &p1, &x, &h_prev, &dh, &ds, &mut g_ref, &kernel).unwrap();
 
             let mut g_ws = CellGrads::zeros_like(&params);
+            let mut dx = Matrix::zeros(batch, input);
             let p1_view = P1Ref {
                 p_i: &ws.p1.p_i,
                 p_f: &ws.p1.p_f,
@@ -1095,7 +1123,7 @@ mod tests {
                 p_h: &ws.p1.p_h,
                 p_s: &reference.f,
             };
-            let out_ws = backward_ws(
+            let mag = backward_ws(
                 &panels,
                 &p1_view,
                 &x,
@@ -1103,17 +1131,23 @@ mod tests {
                 &dh,
                 &ds,
                 &mut g_ws,
+                &mut dx,
                 &kernel,
                 &mut ws.bwd,
                 &inst,
             )
             .unwrap();
-            assert_eq!(out_ws, out_ref);
+            assert_eq!(dx, out_ref.dx);
+            assert_eq!(ws.bwd.dh_prev, out_ref.dh_prev);
+            assert_eq!(ws.bwd.ds_prev, out_ref.ds_prev);
             assert_eq!(g_ws, g_ref);
+            // From zeroed accumulators the grads hold exactly this
+            // cell's contribution, so the measured magnitude is theirs.
+            assert_eq!(mag, g_ref.magnitude());
 
             // Same through the P1Dense::as_ref adaptor, with reused
             // backward buffers and pre-seeded gradient accumulators.
-            let out_ws2 = backward_ws(
+            let mag2 = backward_ws(
                 &panels,
                 &p1.as_ref(),
                 &x,
@@ -1121,6 +1155,7 @@ mod tests {
                 &dh,
                 &ds,
                 &mut g_ws,
+                &mut dx,
                 &kernel,
                 &mut ws.bwd,
                 &inst,
@@ -1129,8 +1164,11 @@ mod tests {
             let mut g_ref2 = g_ref.clone();
             let out_ref2 =
                 backward_with(&params, &p1, &x, &h_prev, &dh, &ds, &mut g_ref2, &kernel).unwrap();
-            assert_eq!(out_ws2, out_ref2);
+            assert_eq!(dx, out_ref2.dx);
+            assert_eq!(ws.bwd.dh_prev, out_ref2.dh_prev);
+            assert_eq!(ws.bwd.ds_prev, out_ref2.ds_prev);
             assert_eq!(g_ws, g_ref2);
+            assert_eq!(mag2, mag);
         }
     }
 
@@ -1191,6 +1229,7 @@ mod tests {
         let dh = Matrix::zeros(2, 4);
         let bad_ds = Matrix::zeros(3, 4);
         let mut grads = CellGrads::zeros_like(&params);
+        let mut dx = Matrix::zeros(2, 3);
         let mut bwd = BwdBuffers::default();
         let inst = crate::layer::Instruments::new();
         let err = backward_ws(
@@ -1201,6 +1240,7 @@ mod tests {
             &dh,
             &bad_ds,
             &mut grads,
+            &mut dx,
             &kernel,
             &mut bwd,
             &inst,

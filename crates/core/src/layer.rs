@@ -546,8 +546,13 @@ impl LstmLayer {
             .map(|t| Matrix::zeros(batch, xs[t].cols()))
             .collect();
 
-        let mut dh_next = zero_h.clone();
-        let mut ds_next = zero_h.clone();
+        // The gradients carried between BP cells live in the
+        // workspace; each cell writes its predecessor's pair into
+        // `ws.bwd`, and the two buffers swap roles after every cell.
+        for m in [&mut ws.dh_next, &mut ws.ds_next] {
+            ensure_shape(m, batch, h);
+            m.as_mut_slice().fill(0.0);
+        }
 
         // Segment cache state: `ws.ms3_segment[i]` holds the recomputed
         // record of cell `base + i`. Backward walks t downward, so each
@@ -560,8 +565,8 @@ impl LstmLayer {
             if matches!(entry, TapeEntry::Skipped { .. }) {
                 // Insignificant BP cell: no computation, gradient
                 // chain truncated at the skip boundary.
-                dh_next = zero_h.clone();
-                ds_next = zero_h.clone();
+                ws.dh_next.as_mut_slice().fill(0.0);
+                ws.ds_next.as_mut_slice().fill(0.0);
                 continue;
             }
 
@@ -723,7 +728,7 @@ impl LstmLayer {
                 .as_mut_slice()
                 .iter_mut()
                 .zip(dys[t].as_slice())
-                .zip(dh_next.as_slice())
+                .zip(ws.dh_next.as_slice())
             {
                 *dst = dy + dh;
             }
@@ -739,27 +744,23 @@ impl LstmLayer {
                 scaled_bytes(xs[t].size_bytes() + h_prev.size_bytes(), precision),
             );
 
-            let mut cell_grads = CellGrads::zeros_like(&self.params);
             let cell_scope = instruments.scope("bp_cell");
-            let out = cell::backward_ws(
+            magnitudes[t] = cell::backward_ws(
                 panels,
                 &p1,
                 &xs[t],
                 h_prev,
                 &ws.dh_total,
-                &ds_next,
-                &mut cell_grads,
+                &ws.ds_next,
+                &mut grads,
+                &mut dxs[t],
                 kernel,
                 &mut ws.bwd,
                 instruments,
             )?;
             drop(cell_scope);
-            magnitudes[t] = cell_grads.magnitude();
-            grads.accumulate(&cell_grads)?;
-
-            dxs[t] = out.dx;
-            dh_next = out.dh_prev;
-            ds_next = out.ds_prev;
+            std::mem::swap(&mut ws.dh_next, &mut ws.bwd.dh_prev);
+            std::mem::swap(&mut ws.ds_next, &mut ws.bwd.ds_prev);
         }
         // Activations released after the layer finishes BP.
         for (x, hm) in xs.iter().zip(tape.hs.iter()) {
@@ -1193,6 +1194,7 @@ mod tests {
         let mut dh_next = zero_h.clone();
         let mut ds_next = zero_h.clone();
         let mut ref_dxs = Vec::new();
+        let mut ref_mags = vec![0.0f64; seq];
         for t in (0..seq).rev() {
             let p1 = cell::P1Dense::compute(&ref_fws[t], &s_prevs[t]).unwrap();
             let mut dh_total = dys[t].clone();
@@ -1211,6 +1213,7 @@ mod tests {
             )
             .unwrap();
             ref_grads.accumulate(&cg).unwrap();
+            ref_mags[t] = cg.magnitude();
             ref_dxs.push(out.dx);
             dh_next = out.dh_prev;
             ds_next = out.ds_prev;
@@ -1234,6 +1237,7 @@ mod tests {
         assert_eq!(b.grads.dw, ref_grads.dw);
         assert_eq!(b.grads.du, ref_grads.du);
         assert_eq!(b.grads.db, ref_grads.db);
+        assert_eq!(b.magnitudes, ref_mags);
 
         // And the panel-less wrapper agrees with the panelled run.
         let b2 = layer

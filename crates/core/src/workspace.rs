@@ -28,7 +28,7 @@
 
 use crate::cell::{CellForward, CellParams};
 use crate::model::LstmModel;
-use eta_tensor::{ConvStats, Matrix, PackedB, ParallelConfig};
+use eta_tensor::{ConvStats, Matrix, PackedB, ParallelConfig, TnAccScratch};
 
 /// Reallocates `slot` only when its shape differs from `[rows, cols]`.
 /// Contents after a call are unspecified (zeros on reallocation, stale
@@ -79,15 +79,24 @@ impl P1Buffers {
     }
 }
 
-/// Reusable buffers of the BP-EW-P2 stage: the accumulated state
-/// gradient and the fused `[batch, 4H]` gate-gradient block that feeds
-/// the BP-MatMul GEMMs.
+/// Reusable buffers of one BP cell: the BP-EW-P2 stage (accumulated
+/// state gradient, fused `[batch, 4H]` gate-gradient block), the
+/// per-cell `δb` sum, the weight-gradient GEMM scratch, and the two
+/// gradients the cell hands to its predecessor timestep.
 #[derive(Debug, Clone, Default)]
 pub struct BwdBuffers {
     /// `δS' = δS + δH' ⊙ p_h`, `[batch, H]`.
     pub ds_acc: Matrix,
     /// `δgates` in the fixed `[i|f|c|o]` order, `[batch, 4H]`.
     pub dgates: Matrix,
+    /// This cell's `δb` (gate gradients summed over the batch), `[4H]`.
+    pub db: Vec<f32>,
+    /// `δH_{t−1}` written by the cell, `[batch, H]`.
+    pub dh_prev: Matrix,
+    /// `δS_{t−1}` written by the cell, `[batch, H]`.
+    pub ds_prev: Matrix,
+    /// Scratch of the fused `δW`/`δU` accumulate-and-measure GEMM.
+    pub tn: TnAccScratch,
 }
 
 impl BwdBuffers {
@@ -95,10 +104,18 @@ impl BwdBuffers {
     pub fn ensure(&mut self, batch: usize, hidden: usize) {
         ensure_shape(&mut self.ds_acc, batch, hidden);
         ensure_shape(&mut self.dgates, batch, 4 * hidden);
+        ensure_shape(&mut self.dh_prev, batch, hidden);
+        ensure_shape(&mut self.ds_prev, batch, hidden);
+        self.db.resize(4 * hidden, 0.0);
     }
 
     fn bytes(&self) -> u64 {
-        self.ds_acc.size_bytes() + self.dgates.size_bytes()
+        self.ds_acc.size_bytes()
+            + self.dgates.size_bytes()
+            + self.dh_prev.size_bytes()
+            + self.ds_prev.size_bytes()
+            + (self.db.len() * 4) as u64
+            + self.tn.size_bytes()
     }
 }
 
@@ -114,6 +131,12 @@ pub struct Workspace {
     pub preact: Matrix,
     /// Summed context gradient `δY_t + δH_t`, `[batch, H]`.
     pub dh_total: Matrix,
+    /// Context gradient `δH_t` carried into the next (earlier) BP
+    /// cell, `[batch, H]`.
+    pub dh_next: Matrix,
+    /// State gradient `δS_t` carried into the next (earlier) BP cell,
+    /// `[batch, H]`.
+    pub ds_next: Matrix,
     /// BP-EW-P1 product buffers.
     pub p1: P1Buffers,
     /// BP-EW-P2 buffers.
@@ -163,6 +186,8 @@ impl Workspace {
             .sum();
         self.preact.size_bytes()
             + self.dh_total.size_bytes()
+            + self.dh_next.size_bytes()
+            + self.ds_next.size_bytes()
             + self.p1.bytes()
             + self.bwd.bytes()
             + seg

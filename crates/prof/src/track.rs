@@ -436,7 +436,7 @@ mod tests {
 
     #[test]
     fn history_round_trips_through_jsonl() {
-        let dir = std::env::temp_dir().join("eta_prof_track_test");
+        let dir = std::env::temp_dir().join(format!("eta_prof_track_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("history.jsonl");
         std::fs::remove_file(&path).ok();
@@ -447,22 +447,25 @@ mod tests {
         let base = baselines(&history);
         let key = ("gemm_packed".to_string(), "nt".to_string());
         assert_eq!(base.get(&key).unwrap().git_sha, "bbb");
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_history_fails_loudly() {
-        let dir = std::env::temp_dir().join("eta_prof_track_corrupt");
+        let dir =
+            std::env::temp_dir().join(format!("eta_prof_track_corrupt_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("history.jsonl");
         std::fs::write(&path, "not json\n").unwrap();
         assert!(read(&path).is_err());
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_history_reads_empty() {
-        let path = std::env::temp_dir().join("eta_prof_track_missing/none.jsonl");
+        let path = std::env::temp_dir()
+            .join(format!("eta_prof_track_missing_{}", std::process::id()))
+            .join("none.jsonl");
         assert!(read(&path).unwrap().is_empty());
     }
 

@@ -274,6 +274,24 @@ pub fn gemm_nn_rows(
     debug_assert_eq!(out_rows.len(), rows * n);
     crate::stats::record_gemm(rows, k, n);
     crate::stats::record_scalar_fallback();
+    gemm_nn_rows_unrecorded(a_rows, rows, k, pb, out_rows, store);
+}
+
+/// [`gemm_nn_rows`] without the [`crate::stats`] record, for a caller
+/// that computes one logical GEMM in several row blocks and records it
+/// once.
+pub(crate) fn gemm_nn_rows_unrecorded(
+    a_rows: &[f32],
+    rows: usize,
+    k: usize,
+    pb: &PackedB,
+    out_rows: &mut [f32],
+    store: Store,
+) {
+    debug_assert_eq!(pb.k(), k);
+    debug_assert_eq!(a_rows.len(), rows * k);
+    let n = pb.n();
+    debug_assert_eq!(out_rows.len(), rows * n);
     for panel_idx in 0..pb.panels() {
         let panel = pb.panel(panel_idx);
         let j0 = panel_idx * NR;
@@ -321,6 +339,28 @@ pub fn gemm_tn_rows(
     debug_assert_eq!(out_rows.len(), rows * n);
     crate::stats::record_gemm(rows, k, n);
     crate::stats::record_scalar_fallback();
+    gemm_tn_rows_unrecorded(a, m, k, i0_out, rows, pb, out_rows, store);
+}
+
+/// [`gemm_tn_rows`] without the [`crate::stats`] record, for a caller
+/// that computes one logical GEMM in several row blocks and records it
+/// once.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_tn_rows_unrecorded(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    i0_out: usize,
+    rows: usize,
+    pb: &PackedB,
+    out_rows: &mut [f32],
+    store: Store,
+) {
+    debug_assert_eq!(pb.k(), k);
+    debug_assert_eq!(a.len(), k * m);
+    debug_assert!(i0_out + rows <= m);
+    let n = pb.n();
+    debug_assert_eq!(out_rows.len(), rows * n);
     for panel_idx in 0..pb.panels() {
         let panel = pb.panel(panel_idx);
         debug_assert_eq!(panel.len(), k * NR);

@@ -24,6 +24,136 @@ use serde::{Deserialize, Serialize};
 /// knob.
 pub const PACK_MIN_FLOPS: usize = 32 * 32 * 32;
 
+/// Output rows per block of [`Matrix::matmul_tn_acc_into`]: each block
+/// of the product is built in [`TnAccScratch`], then added into the
+/// destination and measured while it is still in cache. A multiple of
+/// both register-tile heights (4 scalar, 6 SIMD), so full blocks carry
+/// no edge rows. Latency-only: neither the sum nor the L1 depends on it.
+pub const TN_ACC_ROW_BLOCK: usize = 24;
+
+/// Caller-owned scratch of [`Matrix::matmul_tn_acc_into`]: the packed
+/// right operand, one product block (plus its transposed A rows on the
+/// SIMD tier) per worker, and one L1 partial per output row. Buffers
+/// grow to the largest shape seen and are reused after that, so the
+/// per-timestep weight-gradient GEMM allocates nothing once warm.
+#[derive(Debug, Clone, Default)]
+pub struct TnAccScratch {
+    rhs: PackedB,
+    blocks: Vec<f32>,
+    row_l1: Vec<f64>,
+}
+
+impl TnAccScratch {
+    /// Bytes currently held.
+    pub fn size_bytes(&self) -> u64 {
+        self.rhs.size_bytes() + (self.blocks.len() * 4 + self.row_l1.len() * 8) as u64
+    }
+}
+
+/// Serial body of [`Matrix::matmul_tn_acc_into`] over the output rows
+/// `row0..row0 + out_rows.len() / n` of `Aᵀ · B`, where `a` is the full
+/// `[k, m]` A buffer. `block` holds this worker's scratch and `row_l1`
+/// receives one L1 partial per output row.
+#[allow(clippy::too_many_arguments)]
+fn tn_acc_rows(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    pb: &PackedB,
+    simd: bool,
+    row0: usize,
+    out_rows: &mut [f32],
+    block: &mut [f32],
+    row_l1: &mut [f64],
+) {
+    let n = pb.n();
+    debug_assert!(n > 0 && m > 0);
+    debug_assert_eq!(a.len(), k * m);
+    debug_assert_eq!(block.len(), TN_ACC_ROW_BLOCK * (k + n));
+    let (at, prod) = block.split_at_mut(TN_ACC_ROW_BLOCK * k);
+    for (b, (out_blk, l1)) in out_rows
+        .chunks_mut(TN_ACC_ROW_BLOCK * n)
+        .zip(row_l1.chunks_mut(TN_ACC_ROW_BLOCK))
+        .enumerate()
+    {
+        let r0 = row0 + b * TN_ACC_ROW_BLOCK;
+        let rows = out_blk.len() / n;
+        debug_assert!(rows <= TN_ACC_ROW_BLOCK && r0 + rows <= m);
+        let prod = &mut prod[..rows * n];
+        if simd {
+            // tn's SIMD layout (see `matmul_tn_packed`), one block at a
+            // time: these A columns become the rows of a small
+            // transposed block that the streaming row kernel reads.
+            let at = &mut at[..rows * k];
+            for (p, a_row) in a.chunks_exact(m).enumerate() {
+                for (dst, &v) in at.chunks_exact_mut(k).zip(&a_row[r0..r0 + rows]) {
+                    debug_assert!(p < dst.len());
+                    dst[p] = v;
+                }
+            }
+            crate::simd::gemm_rows_nn_unrecorded(at, rows, k, pb, prod, Store::Assign);
+        } else {
+            kernels::gemm_tn_rows_unrecorded(a, m, k, r0, rows, pb, prod, Store::Assign);
+        }
+        add_and_measure_rows(out_blk, prod, n, l1);
+    }
+}
+
+/// `out += prod` over rows of width `n`, writing each row's L1
+/// (`Σ_j |prod[r][j]|` in f64, ascending `j`) into `row_l1`. Rows run
+/// four at a time so their sums proceed as independent dependency
+/// chains; each row's sum is still the plain sequential one.
+fn add_and_measure_rows(out: &mut [f32], prod: &[f32], n: usize, row_l1: &mut [f64]) {
+    debug_assert_eq!(out.len(), row_l1.len() * n);
+    debug_assert_eq!(prod.len(), out.len());
+    let quads = row_l1.len() / 4 * 4;
+    let (out4, out1) = out.split_at_mut(quads * n);
+    let (prod4, prod1) = prod.split_at(quads * n);
+    let (l1_4, l1_1) = row_l1.split_at_mut(quads);
+    for ((o, p), l1) in out4
+        .chunks_exact_mut(4 * n)
+        .zip(prod4.chunks_exact(4 * n))
+        .zip(l1_4.chunks_exact_mut(4))
+    {
+        let (o01, o23) = o.split_at_mut(2 * n);
+        let (o0, o1) = o01.split_at_mut(n);
+        let (o2, o3) = o23.split_at_mut(n);
+        let (p01, p23) = p.split_at(2 * n);
+        let (p0, p1) = p01.split_at(n);
+        let (p2, p3) = p23.split_at(n);
+        let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        for ((((a0, &b0), (a1, &b1)), (a2, &b2)), (a3, &b3)) in o0
+            .iter_mut()
+            .zip(p0)
+            .zip(o1.iter_mut().zip(p1))
+            .zip(o2.iter_mut().zip(p2))
+            .zip(o3.iter_mut().zip(p3))
+        {
+            *a0 += b0;
+            *a1 += b1;
+            *a2 += b2;
+            *a3 += b3;
+            s0 += f64::from(b0.abs());
+            s1 += f64::from(b1.abs());
+            s2 += f64::from(b2.abs());
+            s3 += f64::from(b3.abs());
+        }
+        l1.copy_from_slice(&[s0, s1, s2, s3]);
+    }
+    for ((o, p), l1) in out1
+        .chunks_exact_mut(n)
+        .zip(prod1.chunks_exact(n))
+        .zip(l1_1.iter_mut())
+    {
+        let mut acc = 0.0f64;
+        for (a, &b) in o.iter_mut().zip(p) {
+            *a += b;
+            acc += f64::from(b.abs());
+        }
+        *l1 = acc;
+    }
+}
+
 /// Per-row kernel shared by the serial and parallel `nn` paths:
 /// `out_row += a_row · B` with the zero-skip the serial kernel uses.
 /// Keeping one implementation guarantees the parallel panels are
@@ -570,12 +700,22 @@ impl Matrix {
         Ok(out)
     }
 
-    /// In-place accumulating `out += selfᵀ · rhs` — the weight-gradient
-    /// hot path (`dW += δᵀ · x` at every timestep). The rhs changes
-    /// every timestep so it is packed fresh here when large enough;
-    /// small products run the naive loop into a temporary. Both paths
-    /// are bit-identical to `matmul_tn` followed by
-    /// [`Matrix::add_assign`].
+    /// Fused accumulate-and-measure `out += selfᵀ · rhs` — the
+    /// weight-gradient hot path (`dW += δᵀ · x` at every timestep) —
+    /// returning the f64 L1 norm of the product it added (the per-cell
+    /// gradient magnitude MS2 calibrates on).
+    ///
+    /// The product is never materialized whole: `rhs` is packed into
+    /// `scratch`, and each [`TN_ACC_ROW_BLOCK`]-row block of the product
+    /// is built into a cache-resident scratch block, added into `out`
+    /// and measured before the next block starts. Every product element
+    /// is the same packed-kernel value [`Matrix::matmul_tn`] produces on
+    /// the same dispatch tier, added to `out` once, so `out` ends up
+    /// bit-identical to `matmul_tn` followed by [`Matrix::add_assign`].
+    /// Blocks run in parallel when `cfg` allows. The L1 is
+    /// [`Matrix::abs_sum`] of the product — one partial per row, added
+    /// in row order — so it is identical at every thread count.
+    /// Records one GEMM in [`crate::stats`] per call.
     ///
     /// # Errors
     ///
@@ -585,8 +725,9 @@ impl Matrix {
         &self,
         rhs: &Matrix,
         out: &mut Matrix,
+        scratch: &mut TnAccScratch,
         cfg: &ParallelConfig,
-    ) -> Result<()> {
+    ) -> Result<f64> {
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
         if self.rows != rhs.rows || out.rows != m || out.cols != n {
             return Err(TensorError::ShapeMismatch {
@@ -595,44 +736,54 @@ impl Matrix {
                 rhs: (rhs.rows, rhs.cols),
             });
         }
-        if m * k * n < PACK_MIN_FLOPS {
-            return out.add_assign(&self.matmul_tn_naive(rhs)?);
+        if m == 0 || n == 0 {
+            return Ok(0.0);
         }
-        let pb = PackedB::from_nn_par(rhs, cfg);
-        if crate::simd::use_simd(m, k, n) {
-            // tn's own SIMD layout: transpose A once (blocked), then
-            // stream the row kernel — see `matmul_tn_packed`. The
-            // transpose is shared by all workers; each consumes a
-            // disjoint row slice, so parallel results stay bitwise
-            // equal to serial.
-            let at = self.transposed_blocked();
-            let a = &at.data;
-            if !cfg.should_parallelize(m, k, n, m) {
-                crate::simd::gemm_rows_nn(a, m, k, &pb, &mut out.data, Store::Add);
-                return Ok(());
-            }
-            Self::par_row_blocks(&mut out.data, m, n, cfg.threads, |row0, rows, chunk| {
-                debug_assert!((row0 + rows) * k <= a.len());
-                crate::simd::gemm_rows_nn(
-                    &a[row0 * k..(row0 + rows) * k],
-                    rows,
-                    k,
-                    &pb,
-                    chunk,
-                    Store::Add,
-                );
-            });
-            return Ok(());
+        let simd = crate::simd::use_simd(m, k, n);
+        crate::stats::record_gemm(m, k, n);
+        if simd {
+            crate::stats::record_simd_dispatch();
+        } else {
+            crate::stats::record_scalar_fallback();
         }
+        let workers = if cfg.should_parallelize(m, k, n, m) {
+            cfg.threads.min(rayon::current_num_threads()).max(1)
+        } else {
+            1
+        };
+        // Workers own whole row blocks, so every block (and every
+        // row's L1) is computed exactly as in the serial sweep.
+        let rows_per_worker = m.div_ceil(TN_ACC_ROW_BLOCK).div_ceil(workers) * TN_ACC_ROW_BLOCK;
+        let block_len = TN_ACC_ROW_BLOCK * (k + n);
+        scratch.rhs.repack_nn(rhs);
+        scratch.blocks.resize(workers * block_len, 0.0);
+        scratch.row_l1.resize(m, 0.0);
+        let TnAccScratch {
+            rhs: pb,
+            blocks,
+            row_l1,
+        } = scratch;
         let a = &self.data;
-        if !cfg.should_parallelize(m, k, n, m) {
-            kernels::gemm_tn_rows(a, m, k, 0, m, &pb, &mut out.data, Store::Add);
-            return Ok(());
+        if workers == 1 {
+            tn_acc_rows(a, m, k, pb, simd, 0, &mut out.data, blocks, row_l1);
+        } else {
+            let pb = &*pb;
+            rayon::scope(|scope| {
+                for (w, ((out_rows, block), l1)) in out
+                    .data
+                    .chunks_mut(rows_per_worker * n)
+                    .zip(blocks.chunks_mut(block_len))
+                    .zip(row_l1.chunks_mut(rows_per_worker))
+                    .enumerate()
+                {
+                    let row0 = w * rows_per_worker;
+                    scope.spawn(move |_| {
+                        tn_acc_rows(a, m, k, pb, simd, row0, out_rows, block, l1);
+                    });
+                }
+            });
         }
-        Self::par_row_blocks(&mut out.data, m, n, cfg.threads, |row0, rows, chunk| {
-            kernels::gemm_tn_rows(a, m, k, row0, rows, &pb, chunk, Store::Add);
-        });
-        Ok(())
+        Ok(row_l1.iter().sum())
     }
 
     /// Multi-threaded `self · rhsᵀ` with an explicit thread count;
@@ -708,30 +859,56 @@ impl Matrix {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `self.cols != pb.k()`.
     pub fn par_matmul_nn_packed(&self, pb: &PackedB, cfg: &ParallelConfig) -> Result<Matrix> {
-        if self.cols != pb.k() {
+        let mut out = Matrix::zeros(self.rows, pb.n());
+        self.matmul_nn_packed_into(pb, &mut out, Store::Assign, cfg)?;
+        Ok(out)
+    }
+
+    /// In-place `out (+)= self · B` against an already-packed B (`[k, n]`
+    /// packed with [`PackedB::from_nn`]) — [`Matrix::par_matmul_nn_packed`]
+    /// writing into a caller-owned buffer, bit-identical to it (and to
+    /// [`Matrix::matmul_nn_packed`]) under [`Store::Assign`]. The
+    /// backward pass lands `δX`/`δH` here without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if the operand widths or
+    /// `out`'s shape do not match.
+    pub fn matmul_nn_packed_into(
+        &self,
+        pb: &PackedB,
+        out: &mut Matrix,
+        store: Store,
+        cfg: &ParallelConfig,
+    ) -> Result<()> {
+        let (m, k, n) = (self.rows, self.cols, pb.n());
+        if self.cols != pb.k() || out.rows != m || out.cols != n {
             return Err(TensorError::ShapeMismatch {
-                op: "par_matmul_nn_packed",
+                op: "matmul_nn_packed_into",
                 lhs: (self.rows, self.cols),
                 rhs: (pb.k(), pb.n()),
             });
         }
-        let (m, k, n) = (self.rows, self.cols, pb.n());
-        if !cfg.should_parallelize(m, k, n, m) {
-            return self.matmul_nn_packed(pb);
-        }
         let simd = crate::simd::use_simd(m, k, n);
+        if !cfg.should_parallelize(m, k, n, m) {
+            if simd {
+                crate::simd::gemm_rows_nn(&self.data, m, k, pb, &mut out.data, store);
+            } else {
+                kernels::gemm_nn_rows(&self.data, m, k, pb, &mut out.data, store);
+            }
+            return Ok(());
+        }
         let a = &self.data;
-        let mut out = Matrix::zeros(m, n);
         Self::par_row_blocks(&mut out.data, m, n, cfg.threads, |row0, rows, chunk| {
             debug_assert!((row0 + rows) * k <= a.len());
             let a_rows = &a[row0 * k..(row0 + rows) * k];
             if simd {
-                crate::simd::gemm_rows_nn(a_rows, rows, k, pb, chunk, Store::Assign);
+                crate::simd::gemm_rows_nn(a_rows, rows, k, pb, chunk, store);
             } else {
-                kernels::gemm_nn_rows(a_rows, rows, k, pb, chunk, Store::Assign);
+                kernels::gemm_nn_rows(a_rows, rows, k, pb, chunk, store);
             }
         });
-        Ok(out)
+        Ok(())
     }
 
     /// Parallel `self · rhsᵀ` (the forward-propagation orientation) —
@@ -982,9 +1159,14 @@ impl Matrix {
     }
 
     /// Sum of the absolute values of all elements (the "magnitude" measure
-    /// used by the paper's Fig. 8 gradient analysis).
+    /// used by the paper's Fig. 8 gradient analysis), in f64: one partial
+    /// per row (ascending column), partials added in row order — the
+    /// order [`Matrix::matmul_tn_acc_into`] measures its product in.
     pub fn abs_sum(&self) -> f64 {
-        self.data.iter().map(|v| v.abs() as f64).sum()
+        self.data
+            .chunks(self.cols.max(1))
+            .map(|row| row.iter().map(|v| f64::from(v.abs())).sum::<f64>())
+            .sum()
     }
 
     /// Sum of squares of all elements.
@@ -1374,11 +1556,14 @@ mod tests {
         let rhs_tn = init::uniform(9, 11, -1.0, 1.0, 18);
         let mut dw = init::uniform(12, 11, -1.0, 1.0, 19);
         let mut dw_ref = dw.clone();
-        a.matmul_tn_acc_into(&rhs_tn, &mut dw, &cfg).unwrap();
-        dw_ref
-            .add_assign(&a.matmul_tn_naive(&rhs_tn).unwrap())
+        let mut scratch = TnAccScratch::default();
+        let l1 = a
+            .matmul_tn_acc_into(&rhs_tn, &mut dw, &mut scratch, &cfg)
             .unwrap();
+        let product = a.matmul_tn_naive(&rhs_tn).unwrap();
+        dw_ref.add_assign(&product).unwrap();
         assert_eq!(dw, dw_ref);
+        assert_eq!(l1, product.abs_sum());
 
         // Shape mismatches are rejected on every packed entry point.
         assert!(a
@@ -1391,7 +1576,7 @@ mod tests {
             .matmul_nt_packed_into(&pb_nt, &mut Matrix::zeros(9, 3), Store::Assign, &cfg)
             .is_err());
         assert!(a
-            .matmul_tn_acc_into(&rhs_tn, &mut Matrix::zeros(3, 3), &cfg)
+            .matmul_tn_acc_into(&rhs_tn, &mut Matrix::zeros(3, 3), &mut scratch, &cfg)
             .is_err());
     }
 

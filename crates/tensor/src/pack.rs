@@ -30,7 +30,7 @@ pub const NR: usize = 8;
 /// - [`PackedB::from_nt`] packs a `[n, k]` matrix used as the rhs of
 ///   `matmul_nt` (which consumes `B[j][p]`) — packing performs the
 ///   transpose, so the kernels are orientation-agnostic afterwards.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PackedB {
     /// Logical reduction depth `k`.
     k: usize,
@@ -77,16 +77,28 @@ fn fill_nt_panel(chunk: &mut [f32], src: &[f32], k: usize, n: usize, panel_idx: 
 impl PackedB {
     /// Packs a `[k, n]` matrix (the rhs of an `nn` or `tn` product).
     pub fn from_nn(b: &Matrix) -> Self {
+        let mut pb = PackedB::default();
+        pb.repack_nn(b);
+        pb
+    }
+
+    /// [`PackedB::from_nn`] into this pack's existing buffer: the
+    /// per-timestep right operands of the weight-gradient GEMM are
+    /// packed here without allocating once the buffer has grown to
+    /// the largest shape seen. Bit-identical to a fresh pack, padding
+    /// lanes included.
+    pub fn repack_nn(&mut self, b: &Matrix) {
         let (k, n) = (b.rows(), b.cols());
-        let panels = n.div_ceil(NR);
-        let mut data = vec![0.0f32; panels * k * NR];
+        self.k = k;
+        self.n = n;
+        self.data.clear();
+        self.data.resize(n.div_ceil(NR) * k * NR, 0.0);
         if k > 0 {
             let src = b.as_slice();
-            for (panel, chunk) in data.chunks_exact_mut(k * NR).enumerate() {
+            for (panel, chunk) in self.data.chunks_exact_mut(k * NR).enumerate() {
                 fill_nn_panel(chunk, src, k, n, panel);
             }
         }
-        PackedB { k, n, data }
     }
 
     /// Packs a `[n, k]` matrix (the rhs of an `nt` product), performing
@@ -257,6 +269,15 @@ mod tests {
         let _ = PackedB::from_nn_par(&b, &cfg);
         let d = crate::stats::dispatch_snapshot().since(&before);
         assert!(d.pack_parallel >= 1);
+    }
+
+    #[test]
+    fn repack_over_a_larger_pack_matches_a_fresh_pack() {
+        let mut pb = PackedB::from_nn(&init::uniform(9, 21, -1.0, 1.0, 13));
+        // The narrower edge panel must come out zero-padded, not stale.
+        let b = init::uniform(4, 11, -1.0, 1.0, 14);
+        pb.repack_nn(&b);
+        assert_eq!(pb, PackedB::from_nn(&b));
     }
 
     #[test]

@@ -93,6 +93,7 @@ pub fn use_simd(m: usize, k: usize, n: usize) -> bool {
     m * k * n >= crate::matrix::PACK_MIN_FLOPS && enabled()
 }
 
+pub(crate) use arch::gemm_rows_nn_unrecorded;
 pub use arch::{gemm_rows_nn, gemm_rows_nt, gemm_rows_nt_epilogue, supported};
 
 #[cfg(target_arch = "x86_64")]
@@ -541,6 +542,26 @@ mod arch {
         }
     }
 
+    /// [`gemm_rows_nn`] without the [`crate::stats`] record, for a
+    /// caller that computes one logical GEMM in several row blocks and
+    /// records it once. Same kernel choice, same bits.
+    pub(crate) fn gemm_rows_nn_unrecorded(
+        a_rows: &[f32],
+        rows: usize,
+        k: usize,
+        pb: &PackedB,
+        out_rows: &mut [f32],
+        store: Store,
+    ) {
+        if k > 0 && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            // SAFETY: the feature guard above proves AVX2 and FMA are
+            // available on this CPU.
+            unsafe { gemm_rows_avx2::<NoEpilogue>(a_rows, rows, k, pb, out_rows, store, None) }
+        } else {
+            kernels::gemm_nn_rows_unrecorded(a_rows, rows, k, pb, out_rows, store)
+        }
+    }
+
     /// Fused-epilogue dispatch: `out[i][j] = f(j, out[i][j] + acc)`,
     /// the hook the LSTM cell uses to fold bias addition and gate
     /// activation into the preactivation GEMM's store pass.
@@ -602,6 +623,18 @@ mod arch {
         store: Store,
     ) {
         kernels::gemm_nn_rows(a_rows, rows, k, pb, out_rows, store)
+    }
+
+    /// Scalar delegate (the unrecorded `nn` kernel).
+    pub(crate) fn gemm_rows_nn_unrecorded(
+        a_rows: &[f32],
+        rows: usize,
+        k: usize,
+        pb: &PackedB,
+        out_rows: &mut [f32],
+        store: Store,
+    ) {
+        kernels::gemm_nn_rows_unrecorded(a_rows, rows, k, pb, out_rows, store)
     }
 
     /// Scalar delegate (the fused-epilogue kernel).

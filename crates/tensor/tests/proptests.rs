@@ -1,6 +1,8 @@
 //! Property-based tests for the tensor substrate.
 
-use eta_tensor::{activation, Matrix, PackedB, ParallelConfig, SparseVec, Store};
+use eta_tensor::{
+    activation, Matrix, PackedB, ParallelConfig, SparseVec, Store, TnAccScratch, TN_ACC_ROW_BLOCK,
+};
 use proptest::prelude::*;
 
 /// Zero-seasoned random matrix: exact zeros are planted so the packed
@@ -158,9 +160,13 @@ proptest! {
 
     /// The in-place accumulate/epilogue forms match their composed
     /// reference pipelines bitwise (product, add_assign, bias, map).
+    /// The fused `tn` accumulate runs over `tn_m` output rows — several
+    /// row blocks, the last one ragged — into a pre-seeded destination,
+    /// and returns the row-by-row f64 L1 of the product it added.
     #[test]
     fn packed_into_forms_match_composed_reference(
         (m, k, n) in (1usize..10, 1usize..10, 1usize..10),
+        tn_m in 1usize..4 * TN_ACC_ROW_BLOCK,
         threads in 1usize..4,
         seed in 2000u64..3000
     ) {
@@ -186,13 +192,16 @@ proptest! {
         composed.map_inplace(f32::tanh);
         prop_assert_eq!(&fused, &composed);
 
-        let a_tn = seasoned(k, m, seed.wrapping_add(3));
+        let a_tn = seasoned(k, tn_m, seed.wrapping_add(3));
         let rhs = seasoned(k, n, seed.wrapping_add(4));
-        let mut dw = seasoned(m, n, seed.wrapping_add(5));
+        let mut dw = seasoned(tn_m, n, seed.wrapping_add(5));
         let mut dw_ref = dw.clone();
-        a_tn.matmul_tn_acc_into(&rhs, &mut dw, &cfg).unwrap();
-        dw_ref.add_assign(&a_tn.matmul_tn_naive(&rhs).unwrap()).unwrap();
+        let mut scratch = TnAccScratch::default();
+        let l1 = a_tn.matmul_tn_acc_into(&rhs, &mut dw, &mut scratch, &cfg).unwrap();
+        let product = a_tn.matmul_tn_naive(&rhs).unwrap();
+        dw_ref.add_assign(&product).unwrap();
         prop_assert_eq!(&dw, &dw_ref);
+        prop_assert_eq!(l1.to_bits(), product.abs_sum().to_bits());
     }
 
     #[test]

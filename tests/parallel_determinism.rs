@@ -4,6 +4,10 @@
 //! size, each shard is computed by the exact serial kernels, and the
 //! gradient tree reduction always combines shards in index order — so
 //! threads are a latency knob, never a numerics knob.
+//!
+//! The `ETA_THREADS` leg of the contract lives in `tests/threads_env.rs`:
+//! it writes the process environment, so it needs a test binary of its
+//! own.
 
 use eta_lstm::core::parallel::Parallelism;
 use eta_lstm::core::{LstmConfig, Trainer, TrainingStrategy};
@@ -66,26 +70,4 @@ fn parallel_training_still_converges() {
         report.epochs[0].mean_loss,
         report.final_loss()
     );
-}
-
-#[test]
-fn env_configured_engine_matches_explicit_threads() {
-    // `Parallelism::from_env` only picks the *thread* count from
-    // `ETA_THREADS`; shard count and kernels are fixed, so any env
-    // value must reproduce the explicit-threads trajectory bit for bit.
-    std::env::set_var(eta_lstm::tensor::parallel::THREADS_ENV, "3");
-    let mut env_trainer = Trainer::new(config(), TrainingStrategy::Baseline, 42)
-        .expect("trainer")
-        .with_parallelism(Parallelism::from_env());
-    std::env::remove_var(eta_lstm::tensor::parallel::THREADS_ENV);
-    assert_eq!(env_trainer.parallelism().threads, 3);
-    let report = env_trainer.run(&task(), 3).expect("training");
-    let reference = run_with_threads(TrainingStrategy::Baseline, 1);
-    for (epoch, (e, r)) in report.epochs.iter().zip(reference.iter()).enumerate() {
-        assert_eq!(
-            e.mean_loss.to_bits(),
-            r.to_bits(),
-            "epoch {epoch}: env-configured engine diverged"
-        );
-    }
 }

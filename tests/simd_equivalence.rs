@@ -17,14 +17,15 @@
 //!    kernel threads the same input yields the same bits, because the
 //!    SIMD gate is a function of the *full* logical shape (fixed
 //!    before row partitioning) and each output element's FMA sequence
-//!    depends only on `(k, KC)`.
+//!    depends only on `(k, KC)`. The fused weight-gradient GEMM
+//!    (`matmul_tn_acc_into`) keeps this per tier, for its L1 too.
 //!
 //! Both CI legs run this file: with `ETA_SIMD=off` every comparison
 //! degenerates to scalar-vs-scalar (trivially within budget), which is
 //! itself part of the contract — the env override must not change any
 //! claim here, only which kernel backs it.
 
-use eta_lstm::tensor::{init, kernels, simd, Matrix, PackedB, ParallelConfig, Store};
+use eta_lstm::tensor::{init, kernels, simd, Matrix, PackedB, ParallelConfig, Store, TnAccScratch};
 use proptest::prelude::*;
 
 /// ULP distance two same-sign finite floats may differ by before we
@@ -195,6 +196,27 @@ fn dispatch_boundary_keeps_small_shapes_bit_exact() {
         .expect("shapes agree");
     let naive = a.matmul_nt_naive(&b).expect("shapes agree");
     assert_bits_equal("below-threshold nt", &packed, &naive);
+
+    // The fused weight-gradient GEMM on either side of the gate: into
+    // a pre-seeded destination it is bitwise the dispatched product
+    // (the naive loop below, the SIMD kernel at the gate when enabled)
+    // plus `add_assign`, and its L1 is the row-by-row sum of that
+    // product.
+    let mut scratch = TnAccScratch::default();
+    for (m, k, n) in [(31, 32, 32), (32, 32, 32)] {
+        let a_tn = init::uniform(k, m, -1.0, 1.0, 9);
+        let b_nn = init::uniform(k, n, -1.0, 1.0, 10);
+        let base = init::uniform(m, n, -1.0, 1.0, 11);
+        let product = a_tn.matmul_tn(&b_nn).expect("shapes agree");
+        let mut reference = base.clone();
+        reference.add_assign(&product).expect("shapes agree");
+        let mut out = base.clone();
+        let l1 = a_tn
+            .matmul_tn_acc_into(&b_nn, &mut out, &mut scratch, &ParallelConfig::serial())
+            .expect("shapes agree");
+        assert_bits_equal(&format!("tn acc {m}x{k}x{n}"), &out, &reference);
+        assert_eq!(l1.to_bits(), product.abs_sum().to_bits());
+    }
 }
 
 /// The epilogue-fused kernel lands the final chunk through
@@ -221,7 +243,8 @@ fn fused_epilogue_is_bitwise_plain_store_plus_transform_for_single_chunk() {
 
 /// Same input → same bits at 1, 2, and 8 kernel threads, whichever
 /// dispatch path the session's env/CPU selects, for all three
-/// orientations training uses.
+/// orientations training uses and the fused `tn` accumulate (its L1
+/// included).
 #[test]
 fn thread_count_never_changes_bits_on_either_dispatch_path() {
     let (m, k, n) = (48, 260, 40); // k > KC: chunked reduction included
@@ -235,6 +258,11 @@ fn thread_count_never_changes_bits_on_either_dispatch_path() {
     let serial_nt = a_nt.matmul_nt_packed(&pb_nt).expect("shapes agree");
     let serial_nn = a_nt.matmul_nn_packed(&pb_nn).expect("shapes agree");
     let serial_tn = a_tn.matmul_tn_packed(&pb_nn).expect("shapes agree");
+    let base = init::uniform(m, n, -1.0, 1.0, 25);
+    let mut serial_acc = base.clone();
+    serial_acc.add_assign(&serial_tn).expect("shapes agree");
+    let serial_l1 = serial_tn.abs_sum();
+    let mut scratch = TnAccScratch::default();
 
     for threads in [1usize, 2, 8] {
         let mut cfg = ParallelConfig::with_threads(threads);
@@ -249,6 +277,17 @@ fn thread_count_never_changes_bits_on_either_dispatch_path() {
         assert_bits_equal(&format!("nt at {threads} threads"), &serial_nt, &par_nt);
         assert_bits_equal(&format!("nn at {threads} threads"), &serial_nn, &par_nn);
         assert_bits_equal(&format!("tn at {threads} threads"), &serial_tn, &par_tn);
+        // The fused accumulate-and-measure tn GEMM: same sum, same L1.
+        let mut acc = base.clone();
+        let l1 = a_tn
+            .matmul_tn_acc_into(&b_nn, &mut acc, &mut scratch, &cfg)
+            .expect("shapes agree");
+        assert_bits_equal(&format!("tn acc at {threads} threads"), &serial_acc, &acc);
+        assert_eq!(
+            l1.to_bits(),
+            serial_l1.to_bits(),
+            "tn acc L1 at {threads} threads"
+        );
     }
 }
 
