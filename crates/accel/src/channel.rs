@@ -175,7 +175,7 @@ mod tests {
         let x: Vec<f32> = (0..16).map(|i| (i as f32 - 8.0) / 4.0).collect();
         let (out, stats) = ch.matvec(&w, &x);
         let xm = Matrix::from_vec(16, 1, x.clone()).unwrap();
-        let reference = w.matmul(&xm).unwrap();
+        let reference = w.matmul_nn(&xm).unwrap();
         for (o, r) in out.iter().zip(reference.as_slice().iter()) {
             assert!((o - r).abs() < 1e-4, "{o} vs {r}");
         }

@@ -151,7 +151,7 @@ mod tests {
         let (out, _) = engine.matvec(&w, &x);
         assert_eq!(out.len(), 33);
         let xm = Matrix::from_vec(8, 1, x.clone()).unwrap();
-        let reference = w.matmul(&xm).unwrap();
+        let reference = w.matmul_nn(&xm).unwrap();
         for (a, b) in out.iter().zip(reference.as_slice().iter()) {
             assert!((a - b).abs() < 1e-4);
         }

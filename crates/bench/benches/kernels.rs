@@ -3,7 +3,7 @@
 //! sparse compress/decode path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eta_tensor::{init, Matrix, SparseVec};
+use eta_tensor::{init, Matrix, PackedB, ParallelConfig, SparseVec, Store};
 use std::hint::black_box;
 
 fn bench_matmul(c: &mut Criterion) {
@@ -59,14 +59,24 @@ fn bench_sparse(c: &mut Criterion) {
     group.finish();
 }
 
+/// The threaded packed `nt` kernel at 1, 2 and 8 threads over a
+/// pre-packed B. The dispatch path (AVX2/FMA or scalar) is whichever
+/// the CPU and `ETA_SIMD` select; run once with `ETA_SIMD=off` to time
+/// the scalar path.
 fn bench_parallel_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul_nt_parallel_256x256");
     group.sample_size(10);
     let a = init::uniform(256, 256, -1.0, 1.0, 21);
-    let b = init::uniform(256, 256, -1.0, 1.0, 22);
-    for &threads in &[1usize, 2, 4] {
+    let b = PackedB::from_nt(&init::uniform(256, 256, -1.0, 1.0, 22));
+    let mut out = Matrix::zeros(256, 256);
+    for &threads in &[1usize, 2, 8] {
+        let cfg = ParallelConfig::with_threads(threads);
         group.bench_function(format!("threads_{threads}"), |bench| {
-            bench.iter(|| black_box(a.matmul_nt_par(&b, threads).unwrap()));
+            bench.iter(|| {
+                a.matmul_nt_packed_into(&b, &mut out, Store::Assign, &cfg)
+                    .unwrap();
+                black_box(&out);
+            });
         });
     }
     group.finish();

@@ -1,10 +1,10 @@
 //! Training-step cost of the zero-alloc workspace + cached weight
-//! panels (PR satellite): `train_step` (the compatibility wrapper —
-//! fresh workspace every step, panels re-packed inside every sequence)
-//! vs `train_step_ws` with a reused [`Workspace`] and a [`ModelPanels`]
-//! packed once. Both paths are bit-identical (the determinism suite
-//! proves it); this bench measures what the reuse buys and writes the
-//! medians to `BENCH_train_step.json` at the repo root.
+//! panels, both through `LstmModel::train_step_ws`: a fresh
+//! [`Workspace`] and freshly packed [`ModelPanels`] every step vs a
+//! reused workspace and panels packed once. Both paths are
+//! bit-identical (the determinism suite proves it); this bench measures
+//! what the reuse buys and writes the medians to
+//! `BENCH_train_step.json` at the repo root.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eta_bench::{scaled_config, scaled_task, SEED};
@@ -42,12 +42,20 @@ fn bench_workspace_step(c: &mut Criterion) {
     let instruments = Instruments::new();
 
     let step_fresh = || {
+        let panels = ModelPanels::pack_with(&model, &plan.kernel);
         model
-            .train_step(&batch.inputs, &batch.targets, &plan, &instruments)
+            .train_step_ws(
+                &batch.inputs,
+                &batch.targets,
+                &plan,
+                &instruments,
+                &panels,
+                &mut Workspace::new(),
+            )
             .unwrap()
     };
 
-    let panels = ModelPanels::pack(&model);
+    let panels = ModelPanels::pack_with(&model, &plan.kernel);
     let mut ws = Workspace::new();
 
     let mut group = c.benchmark_group("train_step_scaled_imdb");
@@ -64,7 +72,7 @@ fn bench_workspace_step(c: &mut Criterion) {
                         &batch.targets,
                         &plan,
                         &instruments,
-                        Some(&panels),
+                        &panels,
                         &mut ws,
                     )
                     .unwrap(),
@@ -88,7 +96,7 @@ fn bench_workspace_step(c: &mut Criterion) {
                     &batch.targets,
                     &plan,
                     &instruments,
-                    Some(&panels),
+                    &panels,
                     &mut ws,
                 )
                 .unwrap(),

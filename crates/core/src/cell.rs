@@ -14,9 +14,10 @@
 //! Gate layout throughout: the `4H`-wide dimension is ordered
 //! `[input | forget | cell | output]`.
 
-use crate::workspace::{BwdBuffers, LayerPanels, P1Buffers, Workspace};
+use crate::layer::Exec;
+use crate::workspace::{ensure_shape, BwdBuffers, P1Buffers};
 use crate::{LstmError, Result};
-use eta_tensor::{activation, init, Matrix, ParallelConfig, Store};
+use eta_tensor::{activation, init, Matrix, Store};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of one LSTM layer's cell: `W [4H × in]`, `U [4H × H]`,
@@ -93,7 +94,7 @@ impl CellForward {
         self.i.size_bytes() * 5
     }
 
-    /// An empty (0×0) record to hand to [`forward_ws_into`] — the first
+    /// An empty (0×0) record to hand to [`forward_into`] — the first
     /// fill sizes every field; later fills reuse the buffers.
     pub fn empty() -> Self {
         CellForward {
@@ -257,7 +258,10 @@ pub struct CellBackwardOut {
     pub ds_prev: Matrix,
 }
 
-/// Forward pass of one cell (paper Eq. 1 + state/output updates).
+/// Forward pass of one cell (paper Eq. 1 + state/output updates) — the
+/// allocating serial reference. Training runs [`forward_into`], which
+/// is bit-identical to it; this form serves streaming inference and
+/// the test oracles.
 ///
 /// `x` is `[batch, in]`, `h_prev` and `s_prev` are `[batch, H]`.
 ///
@@ -271,28 +275,10 @@ pub fn forward(
     h_prev: &Matrix,
     s_prev: &Matrix,
 ) -> Result<CellForward> {
-    forward_with(params, x, h_prev, s_prev, &ParallelConfig::serial())
-}
-
-/// [`forward`] with an explicit kernel-parallelism config: the two GEMMs
-/// run row-panelled when `kernel` allows it, with bit-identical results
-/// (see [`eta_tensor::parallel`]).
-///
-/// # Errors
-///
-/// Returns a tensor shape error if the operand shapes are inconsistent
-/// with `params`.
-pub fn forward_with(
-    params: &CellParams,
-    x: &Matrix,
-    h_prev: &Matrix,
-    s_prev: &Matrix,
-    kernel: &ParallelConfig,
-) -> Result<CellForward> {
     let h = params.hidden();
     // preact = x·Wᵀ + h_prev·Uᵀ + b : [batch, 4H]
-    let mut preact = x.par_matmul_nt(&params.w, kernel)?;
-    preact.add_assign(&h_prev.par_matmul_nt(&params.u, kernel)?)?;
+    let mut preact = x.matmul_nt(&params.w)?;
+    preact.add_assign(&h_prev.matmul_nt(&params.u)?)?;
     preact.add_row_broadcast(&params.b)?;
 
     let i = preact.col_slice(0, h).map(activation::sigmoid);
@@ -315,7 +301,8 @@ pub fn forward_with(
     })
 }
 
-/// Backward pass of one cell expressed over the P1 products.
+/// Backward pass of one cell expressed over the P1 products — the
+/// allocating serial reference of [`backward_ws`].
 ///
 /// `dh_total` is `δY_t + δH_t` (output gradient from the layer above plus
 /// context gradient from the next timestep); `ds` is the incoming state
@@ -333,35 +320,6 @@ pub fn backward(
     ds: &Matrix,
     grads: &mut CellGrads,
 ) -> Result<CellBackwardOut> {
-    backward_with(
-        params,
-        p1,
-        x,
-        h_prev,
-        dh_total,
-        ds,
-        grads,
-        &ParallelConfig::serial(),
-    )
-}
-
-/// [`backward`] with an explicit kernel-parallelism config for the four
-/// BP-MatMul GEMMs (Eq. 2–3). Bit-identical to the serial path.
-///
-/// # Errors
-///
-/// Returns a tensor shape error on inconsistent operand shapes.
-#[allow(clippy::too_many_arguments)]
-pub fn backward_with(
-    params: &CellParams,
-    p1: &P1Dense,
-    x: &Matrix,
-    h_prev: &Matrix,
-    dh_total: &Matrix,
-    ds: &Matrix,
-    grads: &mut CellGrads,
-    kernel: &ParallelConfig,
-) -> Result<CellBackwardOut> {
     // BP-EW-P2: combine incoming gradients with the P1 products.
     let do_hat = dh_total.hadamard(&p1.p_o)?;
     let mut ds_acc = ds.clone();
@@ -375,15 +333,13 @@ pub fn backward_with(
     let dgates = di_hat.hcat(&df_hat)?.hcat(&dc_hat)?.hcat(&do_hat)?;
 
     // BP-MatMul (Eq. 2): input and context gradients.
-    let dx = dgates.par_matmul_nn(&params.w, kernel)?;
-    let dh_prev = dgates.par_matmul_nn(&params.u, kernel)?;
+    let dx = dgates.matmul_nn(&params.w)?;
+    let dh_prev = dgates.matmul_nn(&params.u)?;
 
     // BP-MatMul (Eq. 3): weight gradients (outer products summed over
     // the batch).
-    grads.dw.add_assign(&dgates.par_matmul_tn(x, kernel)?)?;
-    grads
-        .du
-        .add_assign(&dgates.par_matmul_tn(h_prev, kernel)?)?;
+    grads.dw.add_assign(&dgates.matmul_tn(x)?)?;
+    grads.du.add_assign(&dgates.matmul_tn(h_prev)?)?;
     // δb is summed over the batch from zero, then added once — the
     // same rounding as every other per-cell gradient.
     let mut db = vec![0.0f32; grads.db.len()];
@@ -510,169 +466,48 @@ fn gemm_label(
     }
 }
 
-/// Zero-alloc forward pass of one cell against pre-packed weight
-/// panels: the preactivation GEMM writes into the workspace buffer,
-/// and the recurrent GEMM's store pass fuses `+ h_prev·Uᵀ + b` and the
-/// gate activation into its epilogue. The only allocations are the
-/// tape-owned outputs. Bit-identical to [`forward_with`] — same packed
-/// kernels, same `(x·Wᵀ + h·Uᵀ) + b` association, same elementwise
-/// state update order.
+/// Forward pass of one cell against the layer's pre-packed weight
+/// panels, into caller-owned buffers: the input GEMM writes `preact`
+/// (`[batch, 4H]` scratch), the recurrent GEMM's store pass fuses
+/// `+ h_prev·Uᵀ + b` and the gate activation into its epilogue, and
+/// every intermediate lands in `out`, whose fields are reallocated only
+/// when their shape changes. The layer forward hands in a fresh
+/// [`CellForward::empty`] per timestep, so the tape owns each record;
+/// the MS3 recompute refills its reused segment cache. Bit-identical
+/// to [`forward`] — same packed kernels, same `(x·Wᵀ + h·Uᵀ) + b`
+/// association, same elementwise state-update order.
 ///
 /// # Errors
 ///
 /// Returns a shape error if the operand shapes are inconsistent with
-/// `params`/`panels`.
-#[allow(clippy::too_many_arguments)]
-pub fn forward_ws(
+/// `params`/`exec.panels`.
+pub fn forward_into(
     params: &CellParams,
-    panels: &LayerPanels,
     x: &Matrix,
     h_prev: &Matrix,
     s_prev: &Matrix,
-    kernel: &ParallelConfig,
-    ws: &mut Workspace,
-    instruments: &crate::layer::Instruments,
-) -> Result<CellForward> {
-    let h = params.hidden();
-    let batch = x.rows();
-    if s_prev.rows() != batch || s_prev.cols() != h {
-        return Err(LstmError::BatchShape {
-            detail: format!(
-                "forward_ws: s_prev is {}x{}, expected {batch}x{h}",
-                s_prev.rows(),
-                s_prev.cols()
-            ),
-        });
-    }
-    ws.ensure_forward(batch, h);
-
-    {
-        let _g = instruments.scope(gemm_label(
-            "gemm_simd",
-            "gemm",
-            batch,
-            x.cols(),
-            panels.w_fwd.n(),
-        ));
-        x.matmul_nt_packed_into(&panels.w_fwd, &mut ws.preact, Store::Assign, kernel)?;
-    }
-    let b = &params.b;
-    let tanh_cols = 2 * h..3 * h;
-    {
-        let _g = instruments.scope(gemm_label(
-            "gemm_epilogue_simd",
-            "gemm_epilogue",
-            batch,
-            h_prev.cols(),
-            panels.u_fwd.n(),
-        ));
-        h_prev.matmul_nt_packed_epilogue(&panels.u_fwd, &mut ws.preact, kernel, |j, v| {
-            debug_assert!(j < b.len());
-            let z = v + b[j];
-            if tanh_cols.contains(&j) {
-                activation::tanh(z)
-            } else {
-                activation::sigmoid(z)
-            }
-        })?;
-    }
-
-    // The activations are already applied; the gate matrices are plain
-    // column copies out of the fused preactivation buffer.
-    let i = ws.preact.col_slice(0, h);
-    let f = ws.preact.col_slice(h, h);
-    let c = ws.preact.col_slice(2 * h, h);
-    let o = ws.preact.col_slice(3 * h, h);
-
-    // s = f ⊙ s_prev + i ⊙ c, fused (two muls + one add per element —
-    // the same scalar sequence as the hadamard/add pipeline).
-    let mut s = Matrix::zeros(batch, h);
-    for ((dst, (&fv, &sp)), (&iv, &cv)) in s
-        .as_mut_slice()
-        .iter_mut()
-        .zip(f.as_slice().iter().zip(s_prev.as_slice()))
-        .zip(i.as_slice().iter().zip(c.as_slice()))
-    {
-        *dst = fv * sp + iv * cv;
-    }
-    let tanh_s = s.map(activation::tanh);
-    let h_out = o.hadamard(&tanh_s)?;
-
-    Ok(CellForward {
-        i,
-        f,
-        c,
-        o,
-        s,
-        tanh_s,
-        h: h_out,
-    })
-}
-
-/// [`forward_ws`] writing into a caller-owned [`CellForward`] instead of
-/// allocating one — the MS3 recompute path replays dropped tape segments
-/// through this so backward stays allocation-free after the segment
-/// buffer warms up. Runs the exact same packed GEMMs, fused epilogue and
-/// elementwise scalar sequences as [`forward_ws`], so the recomputed
-/// record is bit-identical to the one the forward pass dropped.
-///
-/// # Errors
-///
-/// Returns a shape error if the operand shapes are inconsistent with
-/// `params`/`panels`.
-#[allow(clippy::too_many_arguments)]
-pub fn forward_ws_into(
-    params: &CellParams,
-    panels: &LayerPanels,
-    x: &Matrix,
-    h_prev: &Matrix,
-    s_prev: &Matrix,
-    kernel: &ParallelConfig,
-    ws: &mut Workspace,
-    instruments: &crate::layer::Instruments,
-    out: &mut CellForward,
-) -> Result<()> {
-    forward_into_with_preact(
-        params,
-        panels,
-        x,
-        h_prev,
-        s_prev,
-        kernel,
-        &mut ws.preact,
-        instruments,
-        out,
-    )
-}
-
-/// [`forward_ws_into`] against a bare preactivation buffer instead of a
-/// whole [`Workspace`] — the MS3 segment recompute borrows the
-/// workspace's `preact` and segment cache as disjoint fields, so it
-/// cannot hand the full workspace back in.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn forward_into_with_preact(
-    params: &CellParams,
-    panels: &LayerPanels,
-    x: &Matrix,
-    h_prev: &Matrix,
-    s_prev: &Matrix,
-    kernel: &ParallelConfig,
     preact: &mut Matrix,
-    instruments: &crate::layer::Instruments,
     out: &mut CellForward,
+    exec: &Exec<'_>,
 ) -> Result<()> {
     let h = params.hidden();
     let batch = x.rows();
     if s_prev.rows() != batch || s_prev.cols() != h {
         return Err(LstmError::BatchShape {
             detail: format!(
-                "forward_ws_into: s_prev is {}x{}, expected {batch}x{h}",
+                "forward_into: s_prev is {}x{}, expected {batch}x{h}",
                 s_prev.rows(),
                 s_prev.cols()
             ),
         });
     }
-    crate::workspace::ensure_shape(preact, batch, 4 * h);
+    ensure_shape(preact, batch, 4 * h);
+    let Exec {
+        kernel,
+        instruments,
+        panels,
+        ..
+    } = *exec;
 
     {
         let _g = instruments.scope(gemm_label(
@@ -714,11 +549,12 @@ pub(crate) fn forward_into_with_preact(
         &mut out.tanh_s,
         &mut out.h,
     ] {
-        crate::workspace::ensure_shape(m, batch, h);
+        ensure_shape(m, batch, h);
     }
 
-    // Gate matrices are plain column copies out of the fused
-    // preactivation buffer (exact, like `col_slice`).
+    // The activations are already applied; the gate matrices are
+    // plain column copies out of the fused preactivation buffer (exact,
+    // like `col_slice`).
     for r in 0..batch {
         let row = preact.row(r);
         debug_assert_eq!(row.len(), 4 * h);
@@ -728,8 +564,8 @@ pub(crate) fn forward_into_with_preact(
         out.o.row_mut(r).copy_from_slice(&row[3 * h..4 * h]);
     }
 
-    // s = f ⊙ s_prev + i ⊙ c — the same fused scalar sequence as
-    // `forward_ws`.
+    // s = f ⊙ s_prev + i ⊙ c, fused (two muls + one add per element —
+    // the same scalar sequence as the hadamard/add pipeline).
     for ((dst, (&fv, &sp)), (&iv, &cv)) in out
         .s
         .as_mut_slice()
@@ -763,14 +599,13 @@ pub(crate) fn forward_into_with_preact(
 /// accumulate-and-measure GEMM, so no weight-sized temporary exists;
 /// `δb` is summed per cell in `bwd.db` and added once. Returns the
 /// cell's gradient magnitude (the L1 of its `δW` and `δU`
-/// contributions, paper Fig. 8). Bit-identical to [`backward_with`].
+/// contributions, paper Fig. 8). Bit-identical to [`backward`].
 ///
 /// # Errors
 ///
 /// Returns a shape error on inconsistent operand shapes.
 #[allow(clippy::too_many_arguments)]
 pub fn backward_ws(
-    panels: &LayerPanels,
     p1: &P1Ref<'_>,
     x: &Matrix,
     h_prev: &Matrix,
@@ -778,10 +613,15 @@ pub fn backward_ws(
     ds: &Matrix,
     grads: &mut CellGrads,
     dx: &mut Matrix,
-    kernel: &ParallelConfig,
     bwd: &mut BwdBuffers,
-    instruments: &crate::layer::Instruments,
+    exec: &Exec<'_>,
 ) -> Result<f64> {
+    let Exec {
+        kernel,
+        instruments,
+        panels,
+        ..
+    } = *exec;
     let (batch, h) = (dh_total.rows(), dh_total.cols());
     for m in [p1.p_i, p1.p_f, p1.p_c, p1.p_o, p1.p_h, p1.p_s, ds] {
         if m.rows() != batch || m.cols() != h {
@@ -900,6 +740,8 @@ pub fn backward_ws(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workspace::{LayerPanels, Workspace};
+    use eta_tensor::ParallelConfig;
 
     fn setup(batch: usize, input: usize, hidden: usize) -> (CellParams, Matrix, Matrix, Matrix) {
         let params = CellParams::new(input, hidden, 7);
@@ -1068,36 +910,56 @@ mod tests {
         assert_eq!(fw.stored_bytes(), 5 * (2 * 4 * 4) as u64);
     }
 
-    /// The PR 5 zero-alloc contract: the workspace/panel cell paths are
-    /// **bit-identical** to the reference implementations, including
-    /// when the workspace buffers are reused across calls and when the
-    /// parallel row-block kernel path is forced on.
+    /// The zero-alloc contract: the packed cell paths are
+    /// **bit-identical** to the serial reference implementations,
+    /// including when the workspace buffers and the forward record are
+    /// reused across calls and when the parallel row-block kernel path
+    /// is forced on.
     #[test]
     fn workspace_paths_bit_identical_to_reference() {
         for (batch, input, hidden, force_par) in
             [(1, 3, 4, false), (3, 5, 8, false), (4, 20, 40, true)]
         {
             let (params, x, h_prev, s_prev) = setup(batch, input, hidden);
-            let panels = LayerPanels::pack(&params);
             let mut kernel = ParallelConfig::with_threads(2);
             if force_par {
                 kernel.min_kernel_flops = 1;
             }
+            let panels = LayerPanels::pack_with(&params, &kernel);
+            let inst = crate::layer::Instruments::new();
+            let exec = Exec {
+                kernel: &kernel,
+                instruments: &inst,
+                panels: &panels,
+                ms3: None,
+            };
             let mut ws = Workspace::new();
 
-            let reference = forward_with(&params, &x, &h_prev, &s_prev, &kernel).unwrap();
-            let inst = crate::layer::Instruments::new();
-            let fused = forward_ws(
-                &params, &panels, &x, &h_prev, &s_prev, &kernel, &mut ws, &inst,
+            let reference = forward(&params, &x, &h_prev, &s_prev).unwrap();
+            let mut fused = CellForward::empty();
+            forward_into(
+                &params,
+                &x,
+                &h_prev,
+                &s_prev,
+                &mut ws.preact,
+                &mut fused,
+                &exec,
             )
             .unwrap();
             assert_eq!(fused, reference);
             // Reuse: the second call overwrites stale buffer contents.
-            let again = forward_ws(
-                &params, &panels, &x, &h_prev, &s_prev, &kernel, &mut ws, &inst,
+            forward_into(
+                &params,
+                &x,
+                &h_prev,
+                &s_prev,
+                &mut ws.preact,
+                &mut fused,
+                &exec,
             )
             .unwrap();
-            assert_eq!(again, reference);
+            assert_eq!(fused, reference);
 
             let p1 = P1Dense::compute(&reference, &s_prev).unwrap();
             compute_p1_into(&mut ws.p1, &reference, &s_prev).unwrap();
@@ -1110,8 +972,7 @@ mod tests {
             let dh = init::uniform(batch, hidden, -1.0, 1.0, 23);
             let ds = init::uniform(batch, hidden, -1.0, 1.0, 29);
             let mut g_ref = CellGrads::zeros_like(&params);
-            let out_ref =
-                backward_with(&params, &p1, &x, &h_prev, &dh, &ds, &mut g_ref, &kernel).unwrap();
+            let out_ref = backward(&params, &p1, &x, &h_prev, &dh, &ds, &mut g_ref).unwrap();
 
             let mut g_ws = CellGrads::zeros_like(&params);
             let mut dx = Matrix::zeros(batch, input);
@@ -1124,7 +985,6 @@ mod tests {
                 p_s: &reference.f,
             };
             let mag = backward_ws(
-                &panels,
                 &p1_view,
                 &x,
                 &h_prev,
@@ -1132,9 +992,8 @@ mod tests {
                 &ds,
                 &mut g_ws,
                 &mut dx,
-                &kernel,
                 &mut ws.bwd,
-                &inst,
+                &exec,
             )
             .unwrap();
             assert_eq!(dx, out_ref.dx);
@@ -1148,7 +1007,6 @@ mod tests {
             // Same through the P1Dense::as_ref adaptor, with reused
             // backward buffers and pre-seeded gradient accumulators.
             let mag2 = backward_ws(
-                &panels,
                 &p1.as_ref(),
                 &x,
                 &h_prev,
@@ -1156,14 +1014,12 @@ mod tests {
                 &ds,
                 &mut g_ws,
                 &mut dx,
-                &kernel,
                 &mut ws.bwd,
-                &inst,
+                &exec,
             )
             .unwrap();
             let mut g_ref2 = g_ref.clone();
-            let out_ref2 =
-                backward_with(&params, &p1, &x, &h_prev, &dh, &ds, &mut g_ref2, &kernel).unwrap();
+            let out_ref2 = backward(&params, &p1, &x, &h_prev, &dh, &ds, &mut g_ref2).unwrap();
             assert_eq!(dx, out_ref2.dx);
             assert_eq!(ws.bwd.dh_prev, out_ref2.dh_prev);
             assert_eq!(ws.bwd.ds_prev, out_ref2.ds_prev);
@@ -1173,57 +1029,45 @@ mod tests {
     }
 
     #[test]
-    fn forward_ws_into_bit_identical_and_reusable() {
-        for (batch, input, hidden, force_par) in
-            [(1, 3, 4, false), (3, 5, 8, false), (4, 20, 40, true)]
-        {
-            let (params, x, h_prev, s_prev) = setup(batch, input, hidden);
-            let panels = LayerPanels::pack(&params);
-            let mut kernel = ParallelConfig::with_threads(2);
-            if force_par {
-                kernel.min_kernel_flops = 1;
-            }
-            let mut ws = Workspace::new();
-            let inst = crate::layer::Instruments::new();
+    fn forward_into_refills_a_stale_record_of_another_shape() {
+        let kernel = ParallelConfig::serial();
+        let inst = crate::layer::Instruments::new();
+        let (params, x, h_prev, s_prev) = setup(3, 5, 8);
+        let panels = LayerPanels::pack_with(&params, &kernel);
+        let exec = Exec {
+            kernel: &kernel,
+            instruments: &inst,
+            panels: &panels,
+            ms3: None,
+        };
+        let mut preact = Matrix::zeros(0, 0);
+        let mut out = CellForward::empty();
+        forward_into(&params, &x, &h_prev, &s_prev, &mut preact, &mut out, &exec).unwrap();
 
-            let reference = forward_ws(
-                &params, &panels, &x, &h_prev, &s_prev, &kernel, &mut ws, &inst,
-            )
-            .unwrap();
-
-            let mut out = CellForward::empty();
-            forward_ws_into(
-                &params, &panels, &x, &h_prev, &s_prev, &kernel, &mut ws, &inst, &mut out,
-            )
-            .unwrap();
-            assert_eq!(out, reference);
-
-            // Refill over stale contents of a *different* shape: buffers
-            // resize and the result stays exact.
-            let (params2, x2, h2, s2) = setup(batch + 1, input, hidden);
-            let panels2 = LayerPanels::pack(&params2);
-            let reference2 =
-                forward_ws(&params2, &panels2, &x2, &h2, &s2, &kernel, &mut ws, &inst).unwrap();
-            forward_ws_into(
-                &params2, &panels2, &x2, &h2, &s2, &kernel, &mut ws, &inst, &mut out,
-            )
-            .unwrap();
-            assert_eq!(out, reference2);
-
-            // Shape errors propagate like forward_ws.
-            let bad_s = Matrix::zeros(batch, hidden + 1);
-            assert!(forward_ws_into(
-                &params, &panels, &x, &h_prev, &bad_s, &kernel, &mut ws, &inst, &mut out
-            )
-            .is_err());
-        }
+        // Refill over stale contents of a *different* shape: buffers
+        // resize and the result stays exact.
+        let (params2, x2, h2, s2) = setup(4, 5, 8);
+        let panels2 = LayerPanels::pack_with(&params2, &kernel);
+        let exec2 = Exec {
+            panels: &panels2,
+            ..exec
+        };
+        forward_into(&params2, &x2, &h2, &s2, &mut preact, &mut out, &exec2).unwrap();
+        assert_eq!(out, forward(&params2, &x2, &h2, &s2).unwrap());
     }
 
     #[test]
-    fn workspace_backward_rejects_mismatched_shapes() {
+    fn workspace_paths_reject_mismatched_shapes() {
         let (params, x, h_prev, s_prev) = setup(2, 3, 4);
-        let panels = LayerPanels::pack(&params);
         let kernel = ParallelConfig::serial();
+        let panels = LayerPanels::pack_with(&params, &kernel);
+        let inst = crate::layer::Instruments::new();
+        let exec = Exec {
+            kernel: &kernel,
+            instruments: &inst,
+            panels: &panels,
+            ms3: None,
+        };
         let fw = forward(&params, &x, &h_prev, &s_prev).unwrap();
         let p1 = P1Dense::compute(&fw, &s_prev).unwrap();
         let dh = Matrix::zeros(2, 4);
@@ -1231,9 +1075,7 @@ mod tests {
         let mut grads = CellGrads::zeros_like(&params);
         let mut dx = Matrix::zeros(2, 3);
         let mut bwd = BwdBuffers::default();
-        let inst = crate::layer::Instruments::new();
         let err = backward_ws(
-            &panels,
             &p1.as_ref(),
             &x,
             &h_prev,
@@ -1241,16 +1083,23 @@ mod tests {
             &bad_ds,
             &mut grads,
             &mut dx,
-            &kernel,
             &mut bwd,
-            &inst,
+            &exec,
         );
         assert!(err.is_err());
         let bad_s = Matrix::zeros(3, 4);
         let mut ws = Workspace::new();
-        assert!(
-            forward_ws(&params, &panels, &x, &h_prev, &bad_s, &kernel, &mut ws, &inst).is_err()
-        );
+        let mut out = CellForward::empty();
+        assert!(forward_into(
+            &params,
+            &x,
+            &h_prev,
+            &bad_s,
+            &mut ws.preact,
+            &mut out,
+            &exec
+        )
+        .is_err());
         assert!(compute_p1_into(&mut ws.p1, &fw, &bad_s).is_err());
     }
 }

@@ -7,6 +7,7 @@ use crate::layer::Instruments;
 use crate::loss::Targets;
 use crate::model::{LstmModel, StepPlan};
 use crate::parallel::{self, Parallelism};
+use crate::workspace::WorkspacePool;
 use crate::Result;
 use eta_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -60,9 +61,11 @@ pub fn check_step(
 
 /// [`check_step`] under an arbitrary storage/skip plan and execution
 /// policy: both the analytic gradients and the perturbed losses run
-/// through [`parallel::train_step_sharded`], so the check validates the
-/// exact code path a [`crate::Trainer`] with the same settings uses —
-/// MS1 compression, MS2 skipping, sharded reduction and all.
+/// through [`parallel::train_step_sharded_ws`], so the check validates
+/// the exact code path a [`crate::Trainer`] with the same settings uses
+/// — MS1 compression, MS2 skipping, sharded reduction and all. Each
+/// call passes no panels, so every perturbed model's panels are packed
+/// from its own perturbed weights.
 ///
 /// # Errors
 ///
@@ -79,14 +82,16 @@ pub fn check_step_with(
     seed: u64,
 ) -> Result<GradCheck> {
     let instruments = Instruments::new();
-    let result = parallel::train_step_sharded(model, xs, targets, plan, &instruments, par)?;
+    let mut pool = WorkspacePool::new();
+    let mut step = |m: &LstmModel| {
+        parallel::train_step_sharded_ws(m, xs, targets, plan, &instruments, par, None, &mut pool)
+    };
+    let result = step(model)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut max_rel = 0.0f64;
     let layers = model.layers().len();
 
-    let loss_with = |m: &LstmModel| -> Result<f64> {
-        Ok(parallel::train_step_sharded(m, xs, targets, plan, &instruments, par)?.loss)
-    };
+    let mut loss_with = |m: &LstmModel| -> Result<f64> { Ok(step(m)?.loss) };
 
     for _ in 0..samples {
         // Pick a parameter uniformly over {layer W, layer U, head W}.
@@ -161,6 +166,26 @@ mod tests {
     use crate::config::LstmConfig;
     use eta_tensor::init;
 
+    fn step(
+        model: &LstmModel,
+        xs: &[Matrix],
+        targets: &Targets,
+        plan: &StepPlan,
+        inst: &Instruments,
+    ) -> Result<crate::model::StepResult> {
+        let par = Parallelism::serial();
+        parallel::train_step_sharded_ws(
+            model,
+            xs,
+            targets,
+            plan,
+            inst,
+            &par,
+            None,
+            &mut WorkspacePool::new(),
+        )
+    }
+
     fn model_and_batch() -> (LstmModel, Vec<Matrix>, Targets) {
         let cfg = LstmConfig::builder()
             .input_size(5)
@@ -214,9 +239,7 @@ mod tests {
         let (model, xs, targets) = model_and_batch();
         let other = LstmModel::new(model.config(), 12345);
         let instruments = Instruments::new();
-        let wrong = other
-            .train_step(&xs, &targets, &StepPlan::baseline(), &instruments)
-            .unwrap();
+        let wrong = step(&other, &xs, &targets, &StepPlan::baseline(), &instruments).unwrap();
         // Compare other's analytic gradient against model's numeric one
         // at a fixed coordinate — the mismatch should be gross.
         let analytic = wrong.grads.cells[0].dw.get(0, 0) as f64;
@@ -231,12 +254,10 @@ mod tests {
             .params
             .w
             .set(0, 0, model.layers()[0].params.w.get(0, 0) - eps);
-        let lp = plus
-            .train_step(&xs, &targets, &StepPlan::baseline(), &instruments)
+        let lp = step(&plus, &xs, &targets, &StepPlan::baseline(), &instruments)
             .unwrap()
             .loss;
-        let lm = minus
-            .train_step(&xs, &targets, &StepPlan::baseline(), &instruments)
+        let lm = step(&minus, &xs, &targets, &StepPlan::baseline(), &instruments)
             .unwrap()
             .loss;
         let numeric = (lp - lm) / (2.0 * eps as f64);

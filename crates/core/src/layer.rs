@@ -19,11 +19,12 @@
 //!   checkpoint granularity `k` (only every k-th cell keeps a full
 //!   entry); backward recomputes the dropped segment from the preceding
 //!   checkpoint's `s` and the always-kept `h` sequence, through the same
-//!   `forward_ws` kernels — so an f32 recompute is bit-identical to what
-//!   was dropped. Under a narrow storage precision every stored tensor
-//!   (kept records, checkpoint states, the `h` sequence) is additionally
-//!   rounded through bf16/f16 ([`eta_tensor::lowp`]), and the
-//!   instrumented byte accounting scales to the narrow width.
+//!   [`cell::forward_into`] kernels — so an f32 recompute is
+//!   bit-identical to what was dropped. Under a narrow storage
+//!   precision every stored tensor (kept records, checkpoint states,
+//!   the `h` sequence) is additionally rounded through bf16/f16
+//!   ([`eta_tensor::lowp`]), and the instrumented byte accounting
+//!   scales to the narrow width.
 
 use crate::cell::{self, CellForward, CellGrads, CellParams, P1Ref};
 use crate::ms1::{Ms1Config, P1Packet};
@@ -32,6 +33,7 @@ use crate::workspace::{ensure_shape, LayerPanels, Workspace};
 use crate::{LstmError, Result};
 use eta_memsim::DataCategory;
 use eta_tensor::{CompressionStats, Matrix, ParallelConfig, Precision};
+use std::ops::RangeInclusive;
 
 /// How the layer stores per-cell state during the forward pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -182,6 +184,23 @@ impl Instruments {
     }
 }
 
+/// Borrowed execution context of the packed cell kernels and the layer
+/// sequence drivers. `panels` is not optional: every GEMM below the
+/// model step runs on pre-packed weight panels.
+#[derive(Debug, Clone, Copy)]
+pub struct Exec<'a> {
+    /// GEMM-level parallelism inside each cell; results are
+    /// bit-identical at every setting.
+    pub kernel: &'a ParallelConfig,
+    /// Footprint, traffic and span instrumentation.
+    pub instruments: &'a Instruments,
+    /// The layer's weights packed for every GEMM orientation.
+    pub panels: &'a LayerPanels,
+    /// MS3 recompute checkpointing and storage precision (`None` keeps
+    /// every record in f32); read by the sequence drivers only.
+    pub ms3: Option<&'a Ms3Config>,
+}
+
 /// One LSTM layer with its parameters.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct LstmLayer {
@@ -215,42 +234,14 @@ impl LstmLayer {
     }
 
     /// Runs the layer forward over `xs` (one `[batch, in]` matrix per
-    /// timestep), producing the output sequence and the tape.
+    /// timestep), producing the tape, which holds the output sequence
+    /// in `hs`. Per-timestep scratch lives in `ws`, the cell GEMMs run
+    /// the fused kernels over `exec.panels`, and the tape owns each
+    /// cell's forward record outright. Bit-identical to the reference
+    /// cell pipeline at every `exec.kernel` setting.
     ///
     /// `keep[t] == false` marks a cell the MS2 plan skips; `keep` must be
     /// either empty (keep all) or the sequence length.
-    ///
-    /// `kernel` controls GEMM-level parallelism inside each cell; the
-    /// result is bit-identical for every setting.
-    ///
-    /// # Errors
-    ///
-    /// Returns a tensor shape error on inconsistent input shapes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is empty or `keep` has the wrong length.
-    pub fn forward_sequence(
-        &self,
-        xs: &[Matrix],
-        mode: StorageMode,
-        keep: &[bool],
-        kernel: &ParallelConfig,
-        instruments: &Instruments,
-    ) -> Result<(Vec<Matrix>, LayerTape)> {
-        let mut ws = Workspace::new();
-        let tape =
-            self.forward_sequence_ws(xs, mode, keep, None, kernel, instruments, None, &mut ws)?;
-        Ok((tape.hs.clone(), tape))
-    }
-
-    /// [`LstmLayer::forward_sequence`] against a reusable [`Workspace`]
-    /// and (optionally) pre-packed weight panels: per-timestep scratch
-    /// lives in `ws`, the cell GEMMs run the fused packed kernels, and
-    /// the tape owns each cell's forward intermediates outright instead
-    /// of cloning them. When `panels` is `None` the layer packs its
-    /// weights once locally (amortized over the sequence).
-    /// Bit-identical to the reference cell pipeline.
     ///
     /// With an MS3 config, cells off the checkpoint grid store
     /// [`TapeEntry::Dropped`] (backward recomputes them), and — under a
@@ -267,33 +258,22 @@ impl LstmLayer {
     /// # Panics
     ///
     /// Panics if `xs` is empty or `keep` has the wrong length.
-    #[allow(clippy::too_many_arguments)]
     pub fn forward_sequence_ws(
         &self,
         xs: &[Matrix],
         mode: StorageMode,
         keep: &[bool],
-        ms3: Option<&Ms3Config>,
-        kernel: &ParallelConfig,
-        instruments: &Instruments,
-        panels: Option<&LayerPanels>,
         ws: &mut Workspace,
+        exec: &Exec<'_>,
     ) -> Result<LayerTape> {
         assert!(!xs.is_empty(), "empty input sequence");
         assert!(
             keep.is_empty() || keep.len() == xs.len(),
             "keep mask length mismatch"
         );
+        let instruments = exec.instruments;
+        let ms3 = exec.ms3;
         let _layer_span = instruments.span("layer_fw");
-        let local_panels;
-        let panels = match panels {
-            Some(p) => p,
-            None => {
-                let _pack = instruments.scope("pack");
-                local_panels = LayerPanels::pack(&self.params);
-                &local_panels
-            }
-        };
         // MS3 split: `ms3_drops` governs the tape layout (k > 1),
         // `precision` governs storage rounding and byte accounting.
         let ms3_drops = ms3.is_some_and(|c| c.interval() > 1);
@@ -313,15 +293,15 @@ impl LstmLayer {
             // Every cell loads the layer weights.
             instruments.load(DataCategory::Weights, self.params.size_bytes());
             let cell_scope = instruments.scope("fw_cell");
-            let mut fw = cell::forward_ws(
+            let mut fw = CellForward::empty();
+            cell::forward_into(
                 &self.params,
-                panels,
                 x,
                 &h_prev,
                 &s_prev,
-                kernel,
-                ws,
-                instruments,
+                &mut ws.preact,
+                &mut fw,
+                exec,
             )?;
             drop(cell_scope);
             // Narrow-storage emulation: round the record through the
@@ -450,53 +430,18 @@ impl LstmLayer {
     /// `dys[t]` is the gradient arriving on `h_t` from above (the head
     /// and/or the next layer). `scale` is the MS2 convergence-aware
     /// compensation factor applied to the accumulated weight gradients.
-    /// `kernel` controls GEMM-level parallelism inside each BP cell.
-    ///
-    /// # Errors
-    ///
-    /// Returns a tensor shape error on inconsistent shapes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dys`, `xs` and the tape lengths disagree.
-    pub fn backward_sequence(
-        &self,
-        xs: &[Matrix],
-        tape: &LayerTape,
-        dys: &[Matrix],
-        scale: f32,
-        kernel: &ParallelConfig,
-        instruments: &Instruments,
-    ) -> Result<LayerBackward> {
-        let mut ws = Workspace::new();
-        self.backward_sequence_ws(
-            xs,
-            tape,
-            dys,
-            scale,
-            None,
-            kernel,
-            instruments,
-            None,
-            &mut ws,
-        )
-    }
-
-    /// [`LstmLayer::backward_sequence`] against a reusable [`Workspace`]
-    /// and (optionally) pre-packed weight panels: the P1 products, the
-    /// summed context gradient, and the fused gate-gradient block all
-    /// live in `ws` buffers instead of fresh per-timestep allocations,
-    /// and the BP GEMMs consume cached packed panels. When `panels` is
-    /// `None` the layer packs its weights once locally. Bit-identical
-    /// to the reference cell pipeline.
+    /// The P1 products, the summed context gradient, and the fused
+    /// gate-gradient block all live in `ws` buffers instead of fresh
+    /// per-timestep allocations, and the BP GEMMs consume
+    /// `exec.panels`. Bit-identical to the reference cell pipeline.
     ///
     /// With an MS3 config whose interval exceeds 1, [`TapeEntry::Dropped`]
     /// cells are recomputed lazily, one segment at a time, into the
     /// workspace's reused segment cache: the segment replays forward
     /// from the preceding checkpoint's `s` and the always-kept `h`
-    /// sequence through the same `forward_ws` kernels (and the same
-    /// storage rounding), so an f32 recompute reproduces the dropped
-    /// records bit-for-bit. Recomputed cells are counted into
+    /// sequence through the same [`cell::forward_into`] kernels (and
+    /// the same storage rounding), so an f32 recompute reproduces the
+    /// dropped records bit-for-bit. Recomputed cells are counted into
     /// `ws.ms3_recompute_cells`.
     ///
     /// # Errors
@@ -506,18 +451,14 @@ impl LstmLayer {
     /// # Panics
     ///
     /// Panics if `dys`, `xs` and the tape lengths disagree.
-    #[allow(clippy::too_many_arguments)]
     pub fn backward_sequence_ws(
         &self,
         xs: &[Matrix],
         tape: &LayerTape,
         dys: &[Matrix],
         scale: f32,
-        ms3: Option<&Ms3Config>,
-        kernel: &ParallelConfig,
-        instruments: &Instruments,
-        panels: Option<&LayerPanels>,
         ws: &mut Workspace,
+        exec: &Exec<'_>,
     ) -> Result<LayerBackward> {
         let t_len = tape.entries.len();
         assert_eq!(xs.len(), t_len, "input/tape length mismatch");
@@ -526,16 +467,9 @@ impl LstmLayer {
         let h = self.hidden();
         let zero_h = Matrix::zeros(batch, h);
 
+        let instruments = exec.instruments;
+        let ms3 = exec.ms3;
         let _layer_span = instruments.span("layer_bp");
-        let local_panels;
-        let panels = match panels {
-            Some(p) => p,
-            None => {
-                let _pack = instruments.scope("pack");
-                local_panels = LayerPanels::pack(&self.params);
-                &local_panels
-            }
-        };
         let ms3_drops = ms3.is_some_and(|c| c.interval() > 1);
         let precision = ms3.map_or(Precision::F32, |c| c.precision);
         let ms1_threshold = tape.ms1_threshold;
@@ -585,18 +519,7 @@ impl LstmLayer {
                 if let Some(upto) = needed {
                     let base = cfg.segment_start(upto);
                     if cache_base != Some(base) {
-                        self.recompute_segment(
-                            xs,
-                            tape,
-                            panels,
-                            kernel,
-                            instruments,
-                            cfg,
-                            base,
-                            upto,
-                            &zero_h,
-                            ws,
-                        )?;
+                        self.recompute_segment(xs, tape, base..=upto, &zero_h, ws, exec)?;
                         cache_base = Some(base);
                     }
                 }
@@ -746,7 +669,6 @@ impl LstmLayer {
 
             let cell_scope = instruments.scope("bp_cell");
             magnitudes[t] = cell::backward_ws(
-                panels,
                 &p1,
                 &xs[t],
                 h_prev,
@@ -754,9 +676,8 @@ impl LstmLayer {
                 &ws.ds_next,
                 &mut grads,
                 &mut dxs[t],
-                kernel,
                 &mut ws.bwd,
-                instruments,
+                exec,
             )?;
             drop(cell_scope);
             std::mem::swap(&mut ws.dh_next, &mut ws.bwd.dh_prev);
@@ -783,25 +704,23 @@ impl LstmLayer {
         })
     }
 
-    /// Recomputes tape segment `[base, upto]` into the workspace's
+    /// Recomputes tape segment `base..=upto` into the workspace's
     /// segment cache, chaining `s` through the cache and reading `h`
     /// seeds from the always-kept `hs` lane. Applies the same storage
-    /// rounding as the forward pass, so the cache holds exactly the
-    /// records the tape dropped.
-    #[allow(clippy::too_many_arguments)]
+    /// rounding as the forward pass (`exec.ms3`'s precision), so the
+    /// cache holds exactly the records the tape dropped.
     fn recompute_segment(
         &self,
         xs: &[Matrix],
         tape: &LayerTape,
-        panels: &LayerPanels,
-        kernel: &ParallelConfig,
-        instruments: &Instruments,
-        cfg: &Ms3Config,
-        base: usize,
-        upto: usize,
+        segment: RangeInclusive<usize>,
         zero_h: &Matrix,
         ws: &mut Workspace,
+        exec: &Exec<'_>,
     ) -> Result<()> {
+        let instruments = exec.instruments;
+        let precision = exec.ms3.map_or(Precision::F32, |c| c.precision);
+        let (base, upto) = (*segment.start(), *segment.end());
         let _seg_span = instruments.span("ms3_recompute");
         let slots = upto - base + 1;
         while ws.ms3_segment.len() < slots {
@@ -820,7 +739,7 @@ impl LstmLayer {
             instruments.load(DataCategory::Weights, self.params.size_bytes());
             instruments.load(
                 DataCategory::Activations,
-                scaled_bytes(x_u.size_bytes() + h_prev.size_bytes(), cfg.precision),
+                scaled_bytes(x_u.size_bytes() + h_prev.size_bytes(), precision),
             );
             let (done, rest) = ws.ms3_segment.split_at_mut(u - base);
             let Some(out) = rest.first_mut() else {
@@ -835,19 +754,9 @@ impl LstmLayer {
                 }
             };
             let cell_scope = instruments.scope("fw_cell");
-            cell::forward_into_with_preact(
-                &self.params,
-                panels,
-                x_u,
-                h_prev,
-                s_prev,
-                kernel,
-                &mut ws.preact,
-                instruments,
-                out,
-            )?;
+            cell::forward_into(&self.params, x_u, h_prev, s_prev, &mut ws.preact, out, exec)?;
             drop(cell_scope);
-            ms3::quantize_cell(cfg.precision, out, &mut ws.ms3_conv);
+            ms3::quantize_cell(precision, out, &mut ws.ms3_conv);
             ws.ms3_recompute_cells += 1;
         }
         Ok(())
@@ -949,8 +858,45 @@ mod tests {
         (0..seq).map(|_| Matrix::zeros(batch, h)).collect()
     }
 
-    fn ser() -> ParallelConfig {
-        ParallelConfig::serial()
+    /// Serial execution context over freshly packed panels.
+    fn with_exec<R>(layer: &LstmLayer, inst: &Instruments, f: impl FnOnce(&Exec<'_>) -> R) -> R {
+        let kernel = ParallelConfig::serial();
+        let panels = LayerPanels::pack_with(&layer.params, &kernel);
+        f(&Exec {
+            kernel: &kernel,
+            instruments: inst,
+            panels: &panels,
+            ms3: None,
+        })
+    }
+
+    fn forward(
+        layer: &LstmLayer,
+        xs: &[Matrix],
+        mode: StorageMode,
+        keep: &[bool],
+        inst: &Instruments,
+    ) -> LayerTape {
+        with_exec(layer, inst, |exec| {
+            layer
+                .forward_sequence_ws(xs, mode, keep, &mut Workspace::new(), exec)
+                .unwrap()
+        })
+    }
+
+    fn backward(
+        layer: &LstmLayer,
+        xs: &[Matrix],
+        tape: &LayerTape,
+        dys: &[Matrix],
+        scale: f32,
+        inst: &Instruments,
+    ) -> LayerBackward {
+        with_exec(layer, inst, |exec| {
+            layer
+                .backward_sequence_ws(xs, tape, dys, scale, &mut Workspace::new(), exec)
+                .unwrap()
+        })
     }
 
     #[test]
@@ -958,12 +904,10 @@ mod tests {
         let layer = LstmLayer::new(6, 4, 1);
         let xs = inputs(5, 3, 6);
         let inst = Instruments::new();
-        let (hs, tape) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &[], &ser(), &inst)
-            .unwrap();
-        assert_eq!(hs.len(), 5);
+        let tape = forward(&layer, &xs, StorageMode::Dense, &[], &inst);
+        assert_eq!(tape.hs.len(), 5);
         assert_eq!(tape.entries.len(), 5);
-        assert!(hs.iter().all(|m| m.rows() == 3 && m.cols() == 4));
+        assert!(tape.hs.iter().all(|m| m.rows() == 3 && m.cols() == 4));
     }
 
     #[test]
@@ -971,28 +915,18 @@ mod tests {
         let layer = LstmLayer::new(5, 4, 2);
         let xs = inputs(4, 2, 5);
         let inst = Instruments::new();
-        let (hs_d, tape_d) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &[], &ser(), &inst)
-            .unwrap();
-        let (hs_c, tape_c) = layer
-            .forward_sequence(
-                &xs,
-                StorageMode::Compressed(Ms1Config { threshold: 0.0 }),
-                &[],
-                &ser(),
-                &inst,
-            )
-            .unwrap();
-        assert_eq!(hs_d, hs_c, "forward outputs are strategy-independent");
+        let tape_d = forward(&layer, &xs, StorageMode::Dense, &[], &inst);
+        let ms1 = StorageMode::Compressed(Ms1Config { threshold: 0.0 });
+        let tape_c = forward(&layer, &xs, ms1, &[], &inst);
+        assert_eq!(
+            tape_d.hs, tape_c.hs,
+            "forward outputs are strategy-independent"
+        );
 
         let mut dys = zeros_grads(4, 2, 4);
         dys[3] = Matrix::filled(2, 4, 1.0);
-        let bd = layer
-            .backward_sequence(&xs, &tape_d, &dys, 1.0, &ser(), &inst)
-            .unwrap();
-        let bc = layer
-            .backward_sequence(&xs, &tape_c, &dys, 1.0, &ser(), &inst)
-            .unwrap();
+        let bd = backward(&layer, &xs, &tape_d, &dys, 1.0, &inst);
+        let bc = backward(&layer, &xs, &tape_c, &dys, 1.0, &inst);
         assert!(bd.grads.dw.rel_diff(&bc.grads.dw) < 1e-6);
         assert!(bd.grads.du.rel_diff(&bc.grads.du) < 1e-6);
         for (a, b) in bd.dxs.iter().zip(bc.dxs.iter()) {
@@ -1005,26 +939,13 @@ mod tests {
         let layer = LstmLayer::new(8, 8, 3);
         let xs = inputs(6, 4, 8);
         let inst = Instruments::new();
-        let (_, tape_d) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &[], &ser(), &inst)
-            .unwrap();
-        let (_, tape_c) = layer
-            .forward_sequence(
-                &xs,
-                StorageMode::Compressed(Ms1Config::default()),
-                &[],
-                &ser(),
-                &inst,
-            )
-            .unwrap();
+        let tape_d = forward(&layer, &xs, StorageMode::Dense, &[], &inst);
+        let ms1 = StorageMode::Compressed(Ms1Config::default());
+        let tape_c = forward(&layer, &xs, ms1, &[], &inst);
         let mut dys = zeros_grads(6, 4, 8);
         dys[5] = Matrix::filled(4, 8, 0.5);
-        let bd = layer
-            .backward_sequence(&xs, &tape_d, &dys, 1.0, &ser(), &inst)
-            .unwrap();
-        let bc = layer
-            .backward_sequence(&xs, &tape_c, &dys, 1.0, &ser(), &inst)
-            .unwrap();
+        let bd = backward(&layer, &xs, &tape_d, &dys, 1.0, &inst);
+        let bc = backward(&layer, &xs, &tape_c, &dys, 1.0, &inst);
         // Pruning perturbs but must not destroy the gradient signal.
         let diff = bd.grads.dw.rel_diff(&bc.grads.dw);
         assert!(diff < 0.5, "pruned gradient diverged: rel diff {diff}");
@@ -1038,14 +959,10 @@ mod tests {
         let inst = Instruments::new();
         // Skip the first three cells (single-loss pattern).
         let keep = [false, false, false, true, true, true];
-        let (_, tape) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &keep, &ser(), &inst)
-            .unwrap();
+        let tape = forward(&layer, &xs, StorageMode::Dense, &keep, &inst);
         let mut dys = zeros_grads(6, 2, 4);
         dys[5] = Matrix::filled(2, 4, 1.0);
-        let b = layer
-            .backward_sequence(&xs, &tape, &dys, 1.0, &ser(), &inst)
-            .unwrap();
+        let b = backward(&layer, &xs, &tape, &dys, 1.0, &inst);
         for t in 0..3 {
             assert_eq!(b.magnitudes[t], 0.0);
             assert!(b.dxs[t].as_slice().iter().all(|&v| v == 0.0));
@@ -1061,9 +978,7 @@ mod tests {
         let xs = inputs(4, 2, 5);
         let inst = Instruments::new();
         let keep = [false, true, true, true];
-        let (_, tape) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &keep, &ser(), &inst)
-            .unwrap();
+        let tape = forward(&layer, &xs, StorageMode::Dense, &keep, &inst);
         match &tape.entries[0] {
             TapeEntry::Skipped { s: Some(_) } => {}
             other => panic!("expected boundary state, got {other:?}"),
@@ -1072,9 +987,7 @@ mod tests {
         // in its local gradient (same dh path, nonzero magnitude).
         let mut dys = zeros_grads(4, 2, 4);
         dys[3] = Matrix::filled(2, 4, 1.0);
-        let b = layer
-            .backward_sequence(&xs, &tape, &dys, 1.0, &ser(), &inst)
-            .unwrap();
+        let b = backward(&layer, &xs, &tape, &dys, 1.0, &inst);
         assert!(b.magnitudes[1] > 0.0);
     }
 
@@ -1087,18 +1000,10 @@ mod tests {
         dys[2] = Matrix::filled(2, 4, 1.0);
         // Separate forward passes: each tape's stored intermediates are
         // consumed (and released) by exactly one backward sweep.
-        let (_, tape1) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &[], &ser(), &inst)
-            .unwrap();
-        let b1 = layer
-            .backward_sequence(&xs, &tape1, &dys, 1.0, &ser(), &inst)
-            .unwrap();
-        let (_, tape2) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &[], &ser(), &inst)
-            .unwrap();
-        let b2 = layer
-            .backward_sequence(&xs, &tape2, &dys, 2.0, &ser(), &inst)
-            .unwrap();
+        let tape1 = forward(&layer, &xs, StorageMode::Dense, &[], &inst);
+        let b1 = backward(&layer, &xs, &tape1, &dys, 1.0, &inst);
+        let tape2 = forward(&layer, &xs, StorageMode::Dense, &[], &inst);
+        let b2 = backward(&layer, &xs, &tape2, &dys, 2.0, &inst);
         let mut doubled = b1.grads.dw.clone();
         doubled.scale(2.0);
         assert!(doubled.rel_diff(&b2.grads.dw) < 1e-6);
@@ -1110,18 +1015,9 @@ mod tests {
         let xs = inputs(5, 4, 16);
         let dense_inst = Instruments::new();
         let comp_inst = Instruments::new();
-        layer
-            .forward_sequence(&xs, StorageMode::Dense, &[], &ser(), &dense_inst)
-            .unwrap();
-        layer
-            .forward_sequence(
-                &xs,
-                StorageMode::Compressed(Ms1Config::default()),
-                &[],
-                &ser(),
-                &comp_inst,
-            )
-            .unwrap();
+        forward(&layer, &xs, StorageMode::Dense, &[], &dense_inst);
+        let ms1 = StorageMode::Compressed(Ms1Config::default());
+        forward(&layer, &xs, ms1, &[], &comp_inst);
         let dense_peak = dense_inst.mem.snapshot().peak(DataCategory::Intermediates);
         let comp_peak = comp_inst.mem.snapshot().peak(DataCategory::Intermediates);
         assert!(
@@ -1130,11 +1026,10 @@ mod tests {
         );
     }
 
-    /// The PR 5 contract at layer level: the workspace sequence paths
-    /// (which now back `forward_sequence`/`backward_sequence`) are
-    /// bit-identical to a reference loop built from the un-fused cell
-    /// primitives, with or without shared panels, and with a reused
-    /// workspace.
+    /// The zero-alloc contract at layer level: the sequence drivers
+    /// are bit-identical to a reference loop built from the serial
+    /// allocating cell primitives, at a threaded kernel config and with
+    /// a reused workspace.
     #[test]
     fn sequence_paths_bit_identical_to_unfused_cell_loop() {
         let (seq, batch, input, h) = (5usize, 3usize, 6usize, 8usize);
@@ -1142,6 +1037,13 @@ mod tests {
         let xs = inputs(seq, batch, input);
         let inst = Instruments::new();
         let kernel = ParallelConfig::with_threads(2);
+        let panels = LayerPanels::pack_with(&layer.params, &kernel);
+        let exec = Exec {
+            kernel: &kernel,
+            instruments: &inst,
+            panels: &panels,
+            ms3: None,
+        };
 
         // Reference forward: plain unfused cell primitives.
         let mut h_prev = Matrix::zeros(batch, h);
@@ -1149,42 +1051,30 @@ mod tests {
         let mut ref_fws = Vec::new();
         let mut s_prevs = Vec::new();
         for x in &xs {
-            let fw = cell::forward_with(&layer.params, x, &h_prev, &s_prev, &kernel).unwrap();
+            let fw = cell::forward(&layer.params, x, &h_prev, &s_prev).unwrap();
             s_prevs.push(s_prev.clone());
             h_prev = fw.h.clone();
             s_prev = fw.s.clone();
             ref_fws.push(fw);
         }
 
-        let (hs, tape) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &[], &kernel, &inst)
-            .unwrap();
-        for (t, fw) in ref_fws.iter().enumerate() {
-            assert_eq!(&hs[t], &fw.h);
-            match &tape.entries[t] {
-                TapeEntry::Dense(tfw) => assert_eq!(tfw.as_ref(), fw),
-                other => panic!("expected dense entry, got {other:?}"),
-            }
-        }
-
-        // Shared panels + reused workspace must change nothing.
-        let panels = LayerPanels::pack(&layer.params);
+        // A reused workspace must change nothing.
         let mut ws = Workspace::new();
         for _ in 0..2 {
-            let tape2 = layer
-                .forward_sequence_ws(
-                    &xs,
-                    StorageMode::Dense,
-                    &[],
-                    None,
-                    &kernel,
-                    &inst,
-                    Some(&panels),
-                    &mut ws,
-                )
+            let tape = layer
+                .forward_sequence_ws(&xs, StorageMode::Dense, &[], &mut ws, &exec)
                 .unwrap();
-            assert_eq!(tape2.hs, hs);
+            for (t, fw) in ref_fws.iter().enumerate() {
+                assert_eq!(&tape.hs[t], &fw.h);
+                match &tape.entries[t] {
+                    TapeEntry::Dense(tfw) => assert_eq!(tfw.as_ref(), fw),
+                    other => panic!("expected dense entry, got {other:?}"),
+                }
+            }
         }
+        let tape = layer
+            .forward_sequence_ws(&xs, StorageMode::Dense, &[], &mut ws, &exec)
+            .unwrap();
 
         // Reference backward: plain unfused cell primitives, reversed.
         let mut dys = zeros_grads(seq, batch, h);
@@ -1201,7 +1091,7 @@ mod tests {
             dh_total.add_assign(&dh_next).unwrap();
             let h_prev_t = if t == 0 { &zero_h } else { &ref_fws[t - 1].h };
             let mut cg = CellGrads::zeros_like(&layer.params);
-            let out = cell::backward_with(
+            let out = cell::backward(
                 &layer.params,
                 &p1,
                 &xs[t],
@@ -1209,7 +1099,6 @@ mod tests {
                 &dh_total,
                 &ds_next,
                 &mut cg,
-                &kernel,
             )
             .unwrap();
             ref_grads.accumulate(&cg).unwrap();
@@ -1221,30 +1110,13 @@ mod tests {
         ref_dxs.reverse();
 
         let b = layer
-            .backward_sequence_ws(
-                &xs,
-                &tape,
-                &dys,
-                1.0,
-                None,
-                &kernel,
-                &inst,
-                Some(&panels),
-                &mut ws,
-            )
+            .backward_sequence_ws(&xs, &tape, &dys, 1.0, &mut ws, &exec)
             .unwrap();
         assert_eq!(b.dxs, ref_dxs);
         assert_eq!(b.grads.dw, ref_grads.dw);
         assert_eq!(b.grads.du, ref_grads.du);
         assert_eq!(b.grads.db, ref_grads.db);
         assert_eq!(b.magnitudes, ref_mags);
-
-        // And the panel-less wrapper agrees with the panelled run.
-        let b2 = layer
-            .backward_sequence(&xs, &tape, &dys, 1.0, &kernel, &inst)
-            .unwrap();
-        assert_eq!(b2.dxs, b.dxs);
-        assert_eq!(b2.grads.dw, b.grads.dw);
     }
 
     #[test]
@@ -1252,19 +1124,10 @@ mod tests {
         let layer = LstmLayer::new(4, 4, 9);
         let xs = inputs(2, 2, 4);
         let inst = Instruments::new();
-        let (_, tape) = layer
-            .forward_sequence(&xs, StorageMode::Dense, &[], &ser(), &inst)
-            .unwrap();
+        let tape = forward(&layer, &xs, StorageMode::Dense, &[], &inst);
         assert_eq!(LstmLayer::tape_compression_stats(&tape).total, 0);
-        let (_, tape_c) = layer
-            .forward_sequence(
-                &xs,
-                StorageMode::Compressed(Ms1Config::default()),
-                &[],
-                &ser(),
-                &inst,
-            )
-            .unwrap();
+        let ms1 = StorageMode::Compressed(Ms1Config::default());
+        let tape_c = forward(&layer, &xs, ms1, &[], &inst);
         assert!(LstmLayer::tape_compression_stats(&tape_c).total > 0);
     }
 }

@@ -5,12 +5,12 @@
 
 use crate::cell::{CellGrads, CellParams};
 use crate::config::LstmConfig;
-use crate::layer::{Instruments, LayerTape, LstmLayer, StorageMode};
+use crate::layer::{Exec, Instruments, LayerTape, LstmLayer, StorageMode};
 use crate::loss::{self, Head, HeadGrads, LossKind, Targets};
 use crate::ms1::Ms1Config;
 use crate::ms2::SkipPlan;
 use crate::ms3::{self, Ms3Config};
-use crate::workspace::{ModelPanels, Workspace};
+use crate::workspace::{LayerPanels, ModelPanels, Workspace};
 use crate::{LstmError, Result};
 use eta_tensor::{lowp, CompressionStats, ConvStats, Matrix, ParallelConfig, Precision};
 
@@ -201,8 +201,9 @@ impl LstmModel {
         Ok(())
     }
 
-    /// Inference-style forward pass: head logits per timestep, storing
-    /// nothing.
+    /// Inference-style forward pass: head logits per timestep. Each
+    /// layer runs the packed training forward over its own freshly
+    /// packed panels; the tapes are dropped layer by layer.
     ///
     /// # Errors
     ///
@@ -211,54 +212,54 @@ impl LstmModel {
         self.check_inputs(xs)?;
         let inst = Instruments::new();
         let kernel = ParallelConfig::serial();
+        let mut ws = Workspace::new();
         let mut seq: Vec<Matrix> = xs.to_vec();
         for layer in &self.layers {
-            let (hs, _) = layer.forward_sequence(&seq, StorageMode::Dense, &[], &kernel, &inst)?;
-            seq = hs;
+            let panels = LayerPanels::pack_with(&layer.params, &kernel);
+            let exec = Exec {
+                kernel: &kernel,
+                instruments: &inst,
+                panels: &panels,
+                ms3: None,
+            };
+            seq = layer
+                .forward_sequence_ws(&seq, StorageMode::Dense, &[], &mut ws, &exec)?
+                .hs;
         }
         seq.iter().map(|h| self.head.forward(h)).collect()
     }
 
     /// One full training step (forward + loss + backward) under `plan`,
-    /// with memory/traffic instrumentation. Does **not** apply the
+    /// with memory/traffic instrumentation, against a reusable
+    /// [`Workspace`] and the model's packed weight panels (the trainer
+    /// checks them out of a [`crate::workspace::PanelCache`] once per
+    /// weight update). Per-step scratch lives in `ws` (its high-water
+    /// mark is updated once per step) and each layer consumes the
+    /// previous layer's tape outputs directly. Does **not** apply the
     /// optimizer — the caller owns that (and the MS2 α-calibration needs
     /// the raw magnitudes first).
     ///
     /// # Errors
     ///
-    /// Returns [`LstmError::BatchShape`] on malformed inputs or targets.
-    pub fn train_step(
-        &self,
-        xs: &[Matrix],
-        targets: &Targets,
-        plan: &StepPlan,
-        instruments: &Instruments,
-    ) -> Result<StepResult> {
-        let mut ws = Workspace::new();
-        self.train_step_ws(xs, targets, plan, instruments, None, &mut ws)
-    }
-
-    /// [`LstmModel::train_step`] against a reusable [`Workspace`] and
-    /// (optionally) the model's cached packed weight panels: per-step
-    /// scratch lives in `ws` (its high-water mark is updated once per
-    /// step), each layer consumes the previous layer's tape outputs
-    /// directly instead of a duplicated input vector, and the cell
-    /// GEMMs reuse `panels` when given (the trainer checks them out of
-    /// a [`crate::workspace::PanelCache`] once per weight update).
-    /// Bit-identical to [`LstmModel::train_step`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LstmError::BatchShape`] on malformed inputs or targets.
+    /// Returns [`LstmError::BatchShape`] on malformed inputs or targets,
+    /// and [`LstmError::Config`] when `panels` does not hold one panel
+    /// set per layer.
     pub fn train_step_ws(
         &self,
         xs: &[Matrix],
         targets: &Targets,
         plan: &StepPlan,
         instruments: &Instruments,
-        panels: Option<&ModelPanels>,
+        panels: &ModelPanels,
         ws: &mut Workspace,
     ) -> Result<StepResult> {
+        if panels.layers.len() != self.layers.len() {
+            return Err(LstmError::Config(format!(
+                "panel set has {} layers, model has {}",
+                panels.layers.len(),
+                self.layers.len()
+            )));
+        }
         self.check_inputs(xs)?;
         let seq_len = self.config.seq_len;
         let batch = xs.first().map_or(0, Matrix::rows);
@@ -282,8 +283,14 @@ impl LstmModel {
         // layer's tape (`hs` is stored there anyway) — the old
         // duplicated `layer_inputs` vector of cloned activations is
         // gone.
+        let exec = |panels| Exec {
+            kernel: &plan.kernel,
+            instruments,
+            panels,
+            ms3: plan.ms3.as_ref(),
+        };
         let mut tapes: Vec<LayerTape> = Vec::with_capacity(self.layers.len());
-        for (l, layer) in self.layers.iter().enumerate() {
+        for ((l, layer), layer_panels) in self.layers.iter().enumerate().zip(&panels.layers) {
             let keep: &[bool] = match &plan.skip {
                 Some(p) => p.keep.get(l).map_or(&empty_keep[..], Vec::as_slice),
                 None => &empty_keep,
@@ -292,16 +299,7 @@ impl LstmModel {
                 Some(prev) => &prev.hs,
                 None => xs,
             };
-            let tape = layer.forward_sequence_ws(
-                input,
-                mode,
-                keep,
-                plan.ms3.as_ref(),
-                &plan.kernel,
-                instruments,
-                panels.and_then(|p| p.layer(l)),
-                ws,
-            )?;
+            let tape = layer.forward_sequence_ws(input, mode, keep, ws, &exec(layer_panels))?;
             tapes.push(tape);
         }
         let top_hs: &[Matrix] = tapes.last().map_or(&[][..], |t| &t.hs[..]);
@@ -376,7 +374,7 @@ impl LstmModel {
         let mut magnitudes = vec![Vec::new(); self.layers.len()];
         let mut p1_stats = CompressionStats::default();
         let mut dys_current = dys;
-        for l in (0..self.layers.len()).rev() {
+        for (l, layer_panels) in panels.layers.iter().enumerate().rev() {
             let Some(tape) = tapes.get(l) else {
                 unreachable!("one tape per layer")
             };
@@ -401,11 +399,8 @@ impl LstmModel {
                 tape,
                 &dys_current,
                 scale,
-                plan.ms3.as_ref(),
-                &plan.kernel,
-                instruments,
-                panels.and_then(|p| p.layer(l)),
                 ws,
+                &exec(layer_panels),
             )?;
             p1_stats.merge(&LstmLayer::tape_compression_stats(tape));
             magnitudes[l] = back.magnitudes;
@@ -556,6 +551,18 @@ mod tests {
             .unwrap()
     }
 
+    /// One step with freshly packed panels and a fresh workspace.
+    fn step(
+        model: &LstmModel,
+        xs: &[Matrix],
+        targets: &Targets,
+        plan: &StepPlan,
+        inst: &Instruments,
+    ) -> Result<StepResult> {
+        let panels = ModelPanels::pack_with(model, &plan.kernel);
+        model.train_step_ws(xs, targets, plan, inst, &panels, &mut Workspace::new())
+    }
+
     fn batch(cfg: &LstmConfig, seed: u64) -> (Vec<Matrix>, Targets) {
         let xs = (0..cfg.seq_len)
             .map(|t| init::uniform(cfg.batch_size, cfg.input_size, -1.0, 1.0, seed + t as u64))
@@ -590,9 +597,7 @@ mod tests {
         let model = LstmModel::new(&cfg, 42);
         let (xs, targets) = batch(&cfg, 1);
         let inst = Instruments::new();
-        let r = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
-            .unwrap();
+        let r = step(&model, &xs, &targets, &StepPlan::baseline(), &inst).unwrap();
         assert_eq!(r.grads.cells.len(), 2);
         assert!(r.loss > 0.0);
         assert!(r.grads.cells.iter().all(|g| g.magnitude() > 0.0));
@@ -606,20 +611,18 @@ mod tests {
         let model = LstmModel::new(&cfg, 42);
         let (xs, targets) = batch(&cfg, 1);
         let inst = Instruments::new();
-        let base = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
-            .unwrap();
-        let ms1 = model
-            .train_step(
-                &xs,
-                &targets,
-                &StepPlan {
-                    ms1: Some(Ms1Config { threshold: 0.0 }),
-                    ..StepPlan::baseline()
-                },
-                &inst,
-            )
-            .unwrap();
+        let base = step(&model, &xs, &targets, &StepPlan::baseline(), &inst).unwrap();
+        let ms1 = step(
+            &model,
+            &xs,
+            &targets,
+            &StepPlan {
+                ms1: Some(Ms1Config { threshold: 0.0 }),
+                ..StepPlan::baseline()
+            },
+            &inst,
+        )
+        .unwrap();
         assert!((base.loss - ms1.loss).abs() < 1e-9);
         for (a, b) in base.grads.cells.iter().zip(ms1.grads.cells.iter()) {
             assert!(a.dw.rel_diff(&b.dw) < 1e-6);
@@ -637,18 +640,14 @@ mod tests {
         let inst = Instruments::new();
         let mut sgd =
             crate::optimizer::Optimizer::sgd(crate::optimizer::Sgd { lr: 0.5, clip: 5.0 });
-        let first = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+        let first = step(&model, &xs, &targets, &StepPlan::baseline(), &inst)
             .unwrap()
             .loss;
         for _ in 0..80 {
-            let r = model
-                .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
-                .unwrap();
+            let r = step(&model, &xs, &targets, &StepPlan::baseline(), &inst).unwrap();
             model.apply(&mut sgd, &r.grads).unwrap();
         }
-        let last = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+        let last = step(&model, &xs, &targets, &StepPlan::baseline(), &inst)
             .unwrap()
             .loss;
         assert!(last < first * 0.5, "loss failed to drop: {first} -> {last}");
@@ -663,9 +662,7 @@ mod tests {
             .collect();
         let targets = Targets::StepClasses(vec![vec![0, 1, 2]; 5]);
         let inst = Instruments::new();
-        let r = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
-            .unwrap();
+        let r = step(&model, &xs, &targets, &StepPlan::baseline(), &inst).unwrap();
         assert!(r.loss > 0.0);
         // Every timestep should see nonzero top-layer gradient magnitude.
         assert!(r.magnitudes[1].iter().all(|&m| m > 0.0));
@@ -682,17 +679,17 @@ mod tests {
         skip.keep[0][1] = false;
         skip.keep[1][0] = false;
         skip.scale = vec![5.0 / 3.0, 5.0 / 4.0];
-        let r = model
-            .train_step(
-                &xs,
-                &targets,
-                &StepPlan {
-                    skip: Some(skip),
-                    ..StepPlan::baseline()
-                },
-                &inst,
-            )
-            .unwrap();
+        let r = step(
+            &model,
+            &xs,
+            &targets,
+            &StepPlan {
+                skip: Some(skip),
+                ..StepPlan::baseline()
+            },
+            &inst,
+        )
+        .unwrap();
         assert_eq!(r.magnitudes[0][0], 0.0);
         assert_eq!(r.magnitudes[0][1], 0.0);
         assert_eq!(r.magnitudes[1][0], 0.0);
@@ -700,17 +697,17 @@ mod tests {
         assert_eq!(r.cells_skipped, 3);
     }
 
-    /// The PR 5 contract at model level: a step with cached panels and
-    /// a reused workspace is bit-identical to the plain `train_step`,
-    /// for both dense and MS1 storage plans, at multiple kernel thread
-    /// counts.
+    /// The zero-alloc contract at model level: a step with cached panels
+    /// and a reused workspace is bit-identical to a step with fresh
+    /// ones, for both dense and MS1 storage plans, at multiple kernel
+    /// thread counts.
     #[test]
     fn train_step_ws_bit_identical_with_panels_and_reuse() {
         let cfg = config();
         let model = LstmModel::new(&cfg, 42);
         let (xs, targets) = batch(&cfg, 1);
         let inst = Instruments::new();
-        let panels = ModelPanels::pack(&model);
+        let panels = ModelPanels::pack_with(&model, &ParallelConfig::serial());
         let mut ws = Workspace::new();
 
         for plan in [
@@ -721,11 +718,11 @@ mod tests {
             },
             StepPlan::baseline().with_kernel(eta_tensor::ParallelConfig::with_threads(3)),
         ] {
-            let reference = model.train_step(&xs, &targets, &plan, &inst).unwrap();
+            let reference = step(&model, &xs, &targets, &plan, &inst).unwrap();
             // Run twice with the same workspace: reuse must not drift.
             for _ in 0..2 {
                 let r = model
-                    .train_step_ws(&xs, &targets, &plan, &inst, Some(&panels), &mut ws)
+                    .train_step_ws(&xs, &targets, &plan, &inst, &panels, &mut ws)
                     .unwrap();
                 assert_eq!(r.loss.to_bits(), reference.loss.to_bits());
                 for (a, b) in r.grads.cells.iter().zip(reference.grads.cells.iter()) {

@@ -19,7 +19,6 @@
 //! bit-identical to the baseline — a property the test suite checks.
 
 use crate::cell::P1Dense;
-use crate::Result;
 use eta_tensor::{CompressionStats, Matrix, SparseVec};
 use serde::{Deserialize, Serialize};
 
@@ -154,22 +153,6 @@ impl P1Packet {
     }
 }
 
-/// Convenience: compute and compress the P1 products of a cell in one
-/// step (the MS1 forward-pass reordering).
-///
-/// # Errors
-///
-/// Returns a tensor shape error if `s_prev` does not match the cell
-/// shape.
-pub fn reorder_and_compress(
-    fw: &crate::cell::CellForward,
-    s_prev: &eta_tensor::Matrix,
-    config: &Ms1Config,
-) -> Result<P1Packet> {
-    let p1 = P1Dense::compute(fw, s_prev)?;
-    Ok(P1Packet::compress(&p1, config.threshold))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,20 +235,6 @@ mod tests {
         let expect = stats.kept as f64 / stats.total as f64;
         assert!((packet.density() - expect).abs() < 1e-12);
         assert_eq!(stats.total, 6 * 4 * 16);
-    }
-
-    #[test]
-    fn reorder_and_compress_matches_two_step() {
-        let params = CellParams::new(8, 8, 3);
-        let x = init::uniform(2, 8, -1.0, 1.0, 5);
-        let h0 = init::uniform(2, 8, -0.5, 0.5, 6);
-        let s0 = init::uniform(2, 8, -0.5, 0.5, 7);
-        let fw = cell::forward(&params, &x, &h0, &s0).unwrap();
-        let cfg = Ms1Config::default();
-        let one = reorder_and_compress(&fw, &s0, &cfg).unwrap();
-        let p1 = P1Dense::compute(&fw, &s0).unwrap();
-        let two = P1Packet::compress(&p1, cfg.threshold);
-        assert_eq!(one, two);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! 1. **Recompute checkpointing** (Echo-style): the tape keeps only every
 //!    k-th cell's forward record and recomputes the dropped cells inside
-//!    backward, segment by segment, through the same `forward_ws` kernels
+//!    backward, segment by segment, through the same `forward_into` kernels
 //!    the forward pass uses. Tape intermediate bytes shrink ~1/k at the
 //!    cost of ≤1 extra forward pass of compute.
 //! 2. **Low-precision storage** (software-emulated): everything the tape

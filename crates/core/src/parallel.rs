@@ -186,10 +186,18 @@ fn merge_step_results(left: &mut StepResult, right: &StepResult) -> Result<()> {
 /// One full training step under the data-parallel microbatch engine.
 ///
 /// Splits the batch into [`Parallelism::shards`] row shards, runs each
-/// shard's `train_step` independently (up to [`Parallelism::threads`]
-/// at a time), pre-scales every shard result by its batch fraction, and
-/// tree-reduces in fixed shard order. With `shards <= 1` (or a batch
-/// too small to split) this is exactly [`LstmModel::train_step`].
+/// shard's [`LstmModel::train_step_ws`] independently (up to
+/// [`Parallelism::threads`] at a time), pre-scales every shard result by
+/// its batch fraction, and tree-reduces in fixed shard order. With
+/// `shards <= 1` (or a batch too small to split) this is exactly
+/// [`LstmModel::train_step_ws`].
+///
+/// Worker `w` always uses pool slot `w`, so a long-lived pool (the
+/// trainer owns one) gives every shard worker steady-state zero-alloc
+/// scratch, and all workers share the read-only `panels`. `None` packs
+/// the model's panels once, up front, with `plan.kernel`. Workspaces
+/// and panels are latency-only — the determinism contract (results
+/// depend on the shard count, never the thread count) holds either way.
 ///
 /// Shard-combined `magnitudes` are the batch-fraction-weighted sums of
 /// the per-shard magnitudes — a deterministic estimator of the serial
@@ -198,31 +206,9 @@ fn merge_step_results(left: &mut StepResult, right: &StepResult) -> Result<()> {
 /// # Errors
 ///
 /// Propagates the first shard's error in shard order (deterministic),
-/// or the serial step's shape errors for malformed inputs.
-pub fn train_step_sharded(
-    model: &LstmModel,
-    xs: &[Matrix],
-    targets: &Targets,
-    plan: &StepPlan,
-    instruments: &Instruments,
-    par: &Parallelism,
-) -> Result<StepResult> {
-    let mut pool = WorkspacePool::new();
-    train_step_sharded_ws(model, xs, targets, plan, instruments, par, None, &mut pool)
-}
-
-/// [`train_step_sharded`] against a reusable [`WorkspacePool`] and
-/// (optionally) cached packed weight panels: worker `w` always uses
-/// pool slot `w`, so a long-lived pool (the trainer owns one) gives
-/// every shard worker steady-state zero-alloc scratch, and all workers
-/// share the read-only `panels`. Workspaces and panels are latency-only
-/// — the determinism contract (results depend on the shard count,
-/// never the thread count) is unchanged, as is every fallback path.
-///
-/// # Errors
-///
-/// Propagates the first shard's error in shard order (deterministic),
-/// or the serial step's shape errors for malformed inputs.
+/// the serial step's shape errors for malformed inputs, and
+/// [`crate::LstmError::Config`] when `panels` does not hold one panel
+/// set per layer.
 #[allow(clippy::too_many_arguments)]
 pub fn train_step_sharded_ws(
     model: &LstmModel,
@@ -236,6 +222,14 @@ pub fn train_step_sharded_ws(
 ) -> Result<StepResult> {
     let seq_len = model.config().seq_len;
     let _step_span = instruments.span("step");
+    let packed;
+    let panels = match panels {
+        Some(p) => p,
+        None => {
+            packed = ModelPanels::pack_with(model, &plan.kernel);
+            &packed
+        }
+    };
     // Malformed batches take the serial path so error messages are
     // identical with and without the engine.
     let first_rows = xs.first().map_or(0, Matrix::rows);
@@ -404,6 +398,37 @@ mod tests {
         (xs, Targets::Classes(classes))
     }
 
+    fn sharded(
+        model: &LstmModel,
+        xs: &[Matrix],
+        targets: &Targets,
+        plan: &StepPlan,
+        inst: &Instruments,
+        par: &Parallelism,
+    ) -> Result<StepResult> {
+        train_step_sharded_ws(
+            model,
+            xs,
+            targets,
+            plan,
+            inst,
+            par,
+            None,
+            &mut WorkspacePool::new(),
+        )
+    }
+
+    fn step(
+        model: &LstmModel,
+        xs: &[Matrix],
+        targets: &Targets,
+        plan: &StepPlan,
+        inst: &Instruments,
+    ) -> Result<StepResult> {
+        let panels = ModelPanels::pack_with(model, &plan.kernel);
+        model.train_step_ws(xs, targets, plan, inst, &panels, &mut Workspace::new())
+    }
+
     #[test]
     fn shard_ranges_cover_the_batch_contiguously() {
         for (batch, shards) in [(8usize, 4usize), (10, 4), (3, 8), (1, 2), (7, 3)] {
@@ -427,9 +452,9 @@ mod tests {
         let (xs, targets) = batch_inputs(&cfg, 3);
         let inst = Instruments::new();
         let plan = StepPlan::baseline();
-        let serial = model.train_step(&xs, &targets, &plan, &inst).unwrap();
+        let serial = step(&model, &xs, &targets, &plan, &inst).unwrap();
         let par = Parallelism::with_threads(2);
-        let sharded = train_step_sharded(&model, &xs, &targets, &plan, &inst, &par).unwrap();
+        let sharded = sharded(&model, &xs, &targets, &plan, &inst, &par).unwrap();
         assert!((serial.loss - sharded.loss).abs() < 1e-9);
         for (a, b) in serial.grads.cells.iter().zip(sharded.grads.cells.iter()) {
             assert!(a.dw.rel_diff(&b.dw) < 1e-5);
@@ -447,7 +472,7 @@ mod tests {
         let (xs, targets) = batch_inputs(&cfg, 11);
         let inst = Instruments::new();
         let plan = StepPlan::baseline();
-        let reference = train_step_sharded(
+        let reference = sharded(
             &model,
             &xs,
             &targets,
@@ -458,7 +483,7 @@ mod tests {
         .unwrap();
         for threads in [2usize, 3, 8] {
             let par = Parallelism::with_threads(threads);
-            let r = train_step_sharded(&model, &xs, &targets, &plan, &inst, &par).unwrap();
+            let r = sharded(&model, &xs, &targets, &plan, &inst, &par).unwrap();
             // Bit-identical, not merely close.
             assert_eq!(
                 r.loss.to_bits(),
@@ -485,7 +510,7 @@ mod tests {
         let (xs, targets) = batch_inputs(&cfg, 11);
         let inst = Instruments::new();
         let plan = StepPlan::baseline();
-        let reference = train_step_sharded(
+        let reference = sharded(
             &model,
             &xs,
             &targets,
@@ -494,7 +519,7 @@ mod tests {
             &Parallelism::with_threads(1),
         )
         .unwrap();
-        let panels = ModelPanels::pack(&model);
+        let panels = ModelPanels::pack_with(&model, &ParallelConfig::serial());
         let mut pool = WorkspacePool::new();
         for threads in [1usize, 2, 3, 8] {
             let par = Parallelism::with_threads(threads);
@@ -533,10 +558,8 @@ mod tests {
         let (xs, targets) = batch_inputs(&cfg, 9);
         let inst = Instruments::new();
         let plan = StepPlan::baseline();
-        let serial = model.train_step(&xs, &targets, &plan, &inst).unwrap();
-        let sharded =
-            train_step_sharded(&model, &xs, &targets, &plan, &inst, &Parallelism::serial())
-                .unwrap();
+        let serial = step(&model, &xs, &targets, &plan, &inst).unwrap();
+        let sharded = sharded(&model, &xs, &targets, &plan, &inst, &Parallelism::serial()).unwrap();
         assert_eq!(serial.loss.to_bits(), sharded.loss.to_bits());
         for (a, b) in serial.grads.cells.iter().zip(sharded.grads.cells.iter()) {
             assert_eq!(a.dw, b.dw);
@@ -551,8 +574,7 @@ mod tests {
         let (xs, targets) = batch_inputs(&cfg, 9);
         let inst = Instruments::new();
         let par = Parallelism::with_threads(8); // 4 shards requested, 2 rows available
-        let r =
-            train_step_sharded(&model, &xs, &targets, &StepPlan::baseline(), &inst, &par).unwrap();
+        let r = sharded(&model, &xs, &targets, &StepPlan::baseline(), &inst, &par).unwrap();
         assert_eq!(r.shards, 2);
         assert!(r.loss.is_finite());
     }
@@ -564,7 +586,7 @@ mod tests {
         let short: Vec<Matrix> = (0..2).map(|_| Matrix::zeros(4, 6)).collect();
         let inst = Instruments::new();
         let par = Parallelism::with_threads(4);
-        let err = train_step_sharded(
+        let err = sharded(
             &model,
             &short,
             &Targets::Classes(vec![0; 4]),
@@ -584,5 +606,46 @@ mod tests {
         assert!(p.is_sharded());
         assert_eq!(Parallelism::serial().with_shards(0).shards, 1);
         assert!(Parallelism::from_env().threads >= 1);
+    }
+
+    /// A panel set packed for a different layer count is an error at
+    /// both entries, sharded or not — never a silent repack.
+    #[test]
+    fn mismatched_panel_set_is_an_error() {
+        let cfg = config(8);
+        let model = LstmModel::new(&cfg, 7);
+        let (xs, targets) = batch_inputs(&cfg, 11);
+        let inst = Instruments::new();
+        let plan = StepPlan::baseline();
+        let one_layer = LstmConfig::builder()
+            .input_size(6)
+            .hidden_size(8)
+            .layers(1)
+            .seq_len(5)
+            .batch_size(8)
+            .output_size(4)
+            .build()
+            .unwrap();
+        let short = ModelPanels::pack_with(&LstmModel::new(&one_layer, 7), &plan.kernel);
+        let mut pool = WorkspacePool::new();
+        for par in [Parallelism::serial(), Parallelism::with_threads(2)] {
+            let err = train_step_sharded_ws(
+                &model,
+                &xs,
+                &targets,
+                &plan,
+                &inst,
+                &par,
+                Some(&short),
+                &mut pool,
+            );
+            assert!(
+                matches!(err, Err(crate::LstmError::Config(_))),
+                "sharded={}: {err:?}",
+                par.is_sharded()
+            );
+        }
+        let err = model.train_step_ws(&xs, &targets, &plan, &inst, &short, &mut Workspace::new());
+        assert!(matches!(err, Err(crate::LstmError::Config(_))), "{err:?}");
     }
 }

@@ -40,8 +40,29 @@ mod tests {
     use crate::config::LstmConfig;
     use crate::layer::Instruments;
     use crate::model::StepPlan;
-    use crate::Targets;
+    use crate::parallel::{train_step_sharded_ws, Parallelism};
+    use crate::{Targets, WorkspacePool};
     use eta_tensor::init;
+
+    fn step(
+        model: &LstmModel,
+        xs: &[eta_tensor::Matrix],
+        targets: &Targets,
+        plan: &StepPlan,
+        inst: &Instruments,
+    ) -> Result<crate::model::StepResult> {
+        let par = Parallelism::serial();
+        train_step_sharded_ws(
+            model,
+            xs,
+            targets,
+            plan,
+            inst,
+            &par,
+            None,
+            &mut WorkspacePool::new(),
+        )
+    }
 
     fn model() -> LstmModel {
         let cfg = LstmConfig::builder()
@@ -81,12 +102,8 @@ mod tests {
         // Training steps also agree.
         let targets = Targets::Classes(vec![0, 2]);
         let inst = Instruments::new();
-        let ra = m
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
-            .unwrap();
-        let rb = restored
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
-            .unwrap();
+        let ra = step(&m, &xs, &targets, &StepPlan::baseline(), &inst).unwrap();
+        let rb = step(&restored, &xs, &targets, &StepPlan::baseline(), &inst).unwrap();
         assert_eq!(ra.loss, rb.loss);
     }
 

@@ -185,6 +185,9 @@ pub fn lint_workspace_with(root: &Path, allow_text: &str) -> Result<Report, Lint
     // S3 over the workspace model. Error findings join the allowlist
     // matching below; S3 liveness results stay advisory.
     let sem = semantic::analyze_sources(&sources, Some(root));
+    if !sem.config_errors.is_empty() {
+        return Err(LintError(sem.config_errors.join("\n")));
+    }
     all.extend(sem.findings);
 
     // R1: stray proptest seed files. The in-tree proptest shim never

@@ -7,7 +7,7 @@
 //!    function provably advances or bails via fuel/depth guards, so
 //!    the proptest fuzz harness can feed it arbitrary token soup.
 //! 2. **Tolerant**: unknown constructs become `ExprKind::Opaque` or a
-//!    recorded [`ast::ParseError`] plus resynchronization, never a
+//!    recorded [`crate::ast::ParseError`] plus resynchronization, never a
 //!    hard stop. The workspace sweep test asserts `errors` is empty
 //!    on every real file, so tolerance is a fuzz/forward-compat
 //!    property, not an excuse for gaps.

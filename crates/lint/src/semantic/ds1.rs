@@ -3,8 +3,8 @@
 //! A computed value written to a local variable or buffer element and
 //! then overwritten (or dropped at function exit) without ever being
 //! read is wasted hot-loop work and usually a logic bug. This rule
-//! runs block-level [`Liveness`](super::dataflow::Liveness) over the
-//! [`Cfg`](super::cfg::Cfg), then scans each block backwards to flag
+//! runs block-level [`super::dataflow::Liveness`] over the
+//! [`super::cfg::Cfg`], then scans each block backwards to flag
 //! plain `=` stores whose target is dead at the store point.
 //!
 //! Conservatism (each of these suppresses findings, never invents

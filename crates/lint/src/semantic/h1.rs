@@ -3,7 +3,7 @@
 //! The paper's training loop is zero-alloc by design: every buffer is
 //! owned by the workspace / packed-panel caches and reused across
 //! timesteps. This rule enforces that statically. Starting from the
-//! per-timestep entry points (`forward_ws`, `backward_ws`, the packed
+//! per-timestep entry points (`forward_into`, `backward_ws`, the packed
 //! GEMM kernels, the MS1 compression and MS3 recompute paths), it
 //! walks the call graph and flags every reachable allocating
 //! expression — `Vec::new` / `Vec::with_capacity`, `vec![…]`,
@@ -47,6 +47,12 @@
 //! * **`Range` clones** — `.clone()` on a local bound to a range
 //!   literal (`let span = a..b`) copies two words and is not an
 //!   allocation; such receivers are suppressed.
+//!
+//! Every name in the three lists below must match a non-test library
+//! function in a numeric crate ([`unresolved_names`]); the workspace
+//! run treats a stale name as a configuration error, because a
+//! renamed or deleted root would otherwise shrink the rule's coverage
+//! without any finding.
 
 use crate::ast::{expr_text, Block, Expr, ExprKind, Stmt};
 use crate::model::{FnInfo, Workspace};
@@ -56,9 +62,7 @@ use std::collections::{BTreeSet, VecDeque};
 /// Per-timestep entry points: the zero-alloc contract applies to
 /// everything these reach (minus setup regions and constructor sinks).
 const HOT_ROOTS: &[&str] = &[
-    "forward_ws",
-    "forward_ws_into",
-    "forward_into_with_preact",
+    "forward_into",
     "backward_ws",
     "compute_p1_into",
     "gemm_nt_rows",
@@ -75,8 +79,8 @@ const SEQ_DRIVERS: &[&str] = &["forward_sequence_ws", "backward_sequence_ws"];
 /// Setup/cache-management functions: body exempt and traversal stops —
 /// allocating is their documented, once-per-update job.
 const SETUP_STOPS: &[&str] = &[
-    "pack",
-    "checkout",
+    "pack_with",
+    "checkout_with",
     "invalidate",
     "slot",
     "slots_mut",
@@ -136,18 +140,28 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
     findings
 }
 
+/// Names in the hot-root, sequence-driver and setup-stop lists that
+/// match no non-test library function in a numeric crate.
+pub fn unresolved_names(ws: &Workspace) -> Vec<&'static str> {
+    HOT_ROOTS
+        .iter()
+        .chain(SEQ_DRIVERS)
+        .chain(SETUP_STOPS)
+        .copied()
+        .filter(|&name| !ws.fns.iter().any(|f| f.name == name && is_numeric_lib(f)))
+        .collect()
+}
+
+fn is_numeric_lib(f: &FnInfo) -> bool {
+    !f.in_test && f.kind == ScopeKind::Lib && NUMERIC_CRATES.contains(&f.crate_key.as_str())
+}
+
 fn is_hot_root(f: &FnInfo) -> bool {
-    HOT_ROOTS.contains(&f.name.as_str())
-        && !f.in_test
-        && f.kind == ScopeKind::Lib
-        && NUMERIC_CRATES.contains(&f.crate_key.as_str())
+    HOT_ROOTS.contains(&f.name.as_str()) && is_numeric_lib(f)
 }
 
 fn is_seq_driver(f: &FnInfo) -> bool {
-    SEQ_DRIVERS.contains(&f.name.as_str())
-        && !f.in_test
-        && f.kind == ScopeKind::Lib
-        && NUMERIC_CRATES.contains(&f.crate_key.as_str())
+    SEQ_DRIVERS.contains(&f.name.as_str()) && is_numeric_lib(f)
 }
 
 /// Constructor sink: associated fn (no `self`) on an impl type —

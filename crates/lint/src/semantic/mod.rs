@@ -14,7 +14,7 @@
 //! * **S3** ([`s3`]) — telemetry key liveness: registered keys that
 //!   no non-test code ever emits (warnings, not errors).
 //!
-//! Layer 3 builds per-function control-flow graphs ([`cfg`]) and runs
+//! Layer 3 builds per-function control-flow graphs ([`mod@cfg`]) and runs
 //! worklist dataflow ([`dataflow`]) on top of the same model:
 //!
 //! * **H1** ([`h1`]) — hot-path allocation discipline: allocating
@@ -60,10 +60,13 @@ use crate::model::Workspace;
 use crate::rules::Finding;
 use std::path::Path;
 
-/// Error findings and warnings from all semantic passes.
+/// Error findings and warnings from all semantic passes, plus
+/// configuration errors: rule parameters that name nothing in the
+/// analysed sources (see [`h1::unresolved_names`]).
 pub struct SemanticReport {
     pub findings: Vec<Finding>,
     pub warnings: Vec<Finding>,
+    pub config_errors: Vec<String>,
 }
 
 /// Runs S1/S2/S3 over `(root-relative path, source)` pairs. `root`
@@ -83,5 +86,14 @@ pub fn analyze_sources(sources: &[(String, String)], root: Option<&Path>) -> Sem
     SemanticReport {
         findings,
         warnings: s3::run(&ws),
+        config_errors: h1::unresolved_names(&ws)
+            .into_iter()
+            .map(|name| {
+                format!(
+                    "H1 root list names `{name}`, which matches no non-test library \
+                     function in a numeric crate; update crates/lint/src/semantic/h1.rs"
+                )
+            })
+            .collect(),
     }
 }

@@ -297,7 +297,7 @@ fn s3_literal_emission_counts_but_test_only_emission_does_not() {
 
 #[test]
 fn h1_reports_allocation_with_call_chain_from_hot_root() {
-    let src = "pub fn forward_ws(n: usize) -> f32 {\n\
+    let src = "pub fn forward_into(n: usize) -> f32 {\n\
                \x20   helper(n)\n\
                }\n\
                \n\
@@ -313,23 +313,23 @@ fn h1_reports_allocation_with_call_chain_from_hot_root() {
     assert_eq!(
         h1[0].message,
         "`vec![…]` allocates in the per-timestep hot path, \
-         reached via core::forward_ws -> core::helper"
+         reached via core::forward_into -> core::helper"
     );
 }
 
 #[test]
 fn h1_setup_regions_and_error_paths_stay_silent() {
-    // `pack` is a setup stop (panel caching allocates by design), and
-    // `Err(format!…)` is a cold path: neither may produce a finding.
-    let src = "pub fn forward_ws(n: usize) -> Result<f32, String> {\n\
-               \x20   let w = pack(n);\n\
+    // `pack_with` is a setup stop (panel packing allocates by design),
+    // and `Err(format!…)` is a cold path: neither may produce a finding.
+    let src = "pub fn forward_into(n: usize) -> Result<f32, String> {\n\
+               \x20   let w = pack_with(n);\n\
                \x20   if n == 0 {\n\
                \x20       return Err(format!(\"empty batch: {n}\"));\n\
                \x20   }\n\
                \x20   Ok(w)\n\
                }\n\
                \n\
-               fn pack(n: usize) -> f32 {\n\
+               fn pack_with(n: usize) -> f32 {\n\
                \x20   let buf = vec![0.0f32; n];\n\
                \x20   buf.iter().sum()\n\
                }\n";
@@ -350,6 +350,35 @@ fn h1_is_scoped_to_the_hot_call_graph() {
                }\n";
     let (findings, _) = analyze(&[(CORE, src)]);
     assert!(rule(&findings, "H1").is_empty(), "{findings:#?}");
+}
+
+#[test]
+fn h1_root_names_must_resolve() {
+    // A root that no numeric-crate library function carries is a
+    // configuration error, not a silently narrower rule: here only
+    // `forward_into` is defined, so `backward_ws` (among others) fails
+    // to resolve. A test-only or non-numeric definition does not count.
+    let core = "pub fn forward_into(n: usize) -> f32 {\n\
+                \x20   n as f32\n\
+                }\n\
+                #[cfg(test)]\n\
+                mod tests {\n\
+                \x20   fn backward_ws() {}\n\
+                }\n";
+    let workloads = "pub fn backward_ws() {}\n";
+    let sources = vec![
+        (CORE.to_string(), core.to_string()),
+        (WORKLOADS.to_string(), workloads.to_string()),
+    ];
+    let errors = analyze_sources(&sources, None).config_errors;
+    assert!(
+        errors.iter().any(|e| e.contains("`backward_ws`")),
+        "{errors:#?}"
+    );
+    assert!(
+        !errors.iter().any(|e| e.contains("`forward_into`")),
+        "{errors:#?}"
+    );
 }
 
 // --- A2: SIMD readiness ----------------------------------------------------

@@ -368,15 +368,6 @@ impl Matrix {
         out
     }
 
-    /// Standard matrix product `self · rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `self.cols != rhs.rows`.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.matmul_nn(rhs)
-    }
-
     /// `self · rhs` with both operands untransposed:
     /// `[m, k] · [k, n] -> [m, n]`.
     ///
@@ -786,18 +777,6 @@ impl Matrix {
         Ok(row_l1.iter().sum())
     }
 
-    /// Multi-threaded `self · rhsᵀ` with an explicit thread count;
-    /// kept for callers that predate [`ParallelConfig`]. Equivalent to
-    /// [`Matrix::par_matmul_nt`] under
-    /// [`ParallelConfig::with_threads`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `self.cols != rhs.cols`.
-    pub fn matmul_nt_par(&self, rhs: &Matrix, threads: usize) -> Result<Matrix> {
-        self.par_matmul_nt(rhs, &ParallelConfig::with_threads(threads))
-    }
-
     /// Splits an `[m, n]` output buffer into one disjoint row block per
     /// worker and runs `kernel(row0, rows, chunk)` on each block in a
     /// scoped thread. Blocks are a deterministic function of `(m,
@@ -827,48 +806,11 @@ impl Matrix {
         });
     }
 
-    /// Parallel `self · rhs` — packs B once, then partitions the output
-    /// into row blocks that each run the register-blocked kernel.
-    /// Bit-identical to [`Matrix::matmul_nn`] (every output element is
-    /// one accumulator summing ascending `p` on both paths), with a
-    /// serial fallback below the config's size threshold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `self.cols != rhs.rows`.
-    pub fn par_matmul_nn(&self, rhs: &Matrix, cfg: &ParallelConfig) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(TensorError::ShapeMismatch {
-                op: "par_matmul_nn",
-                lhs: (self.rows, self.cols),
-                rhs: (rhs.rows, rhs.cols),
-            });
-        }
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        if !cfg.should_parallelize(m, k, n, m) {
-            return self.matmul_nn(rhs);
-        }
-        self.par_matmul_nn_packed(&PackedB::from_nn_par(rhs, cfg), cfg)
-    }
-
-    /// Parallel `self · B` against an already-packed B — row blocks of
-    /// the register-blocked `nn` kernel, no packing cost. Falls back to
-    /// the serial packed kernel below the config's size threshold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `self.cols != pb.k()`.
-    pub fn par_matmul_nn_packed(&self, pb: &PackedB, cfg: &ParallelConfig) -> Result<Matrix> {
-        let mut out = Matrix::zeros(self.rows, pb.n());
-        self.matmul_nn_packed_into(pb, &mut out, Store::Assign, cfg)?;
-        Ok(out)
-    }
-
     /// In-place `out (+)= self · B` against an already-packed B (`[k, n]`
-    /// packed with [`PackedB::from_nn`]) — [`Matrix::par_matmul_nn_packed`]
-    /// writing into a caller-owned buffer, bit-identical to it (and to
-    /// [`Matrix::matmul_nn_packed`]) under [`Store::Assign`]. The
-    /// backward pass lands `δX`/`δH` here without allocating.
+    /// packed with [`PackedB::from_nn`]), bit-identical to
+    /// [`Matrix::matmul_nn_packed`] under [`Store::Assign`]. Row panels
+    /// run in parallel when `cfg` allows. The backward pass lands
+    /// `δX`/`δH` here without allocating.
     ///
     /// # Errors
     ///
@@ -909,111 +851,6 @@ impl Matrix {
             }
         });
         Ok(())
-    }
-
-    /// Parallel `self · rhsᵀ` (the forward-propagation orientation) —
-    /// packs B once, then row blocks of the register-blocked kernel.
-    /// Bit-identical to [`Matrix::matmul_nt`], with a serial fallback
-    /// below the config's size threshold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `self.cols != rhs.cols`.
-    pub fn par_matmul_nt(&self, rhs: &Matrix, cfg: &ParallelConfig) -> Result<Matrix> {
-        if self.cols != rhs.cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "par_matmul_nt",
-                lhs: (self.rows, self.cols),
-                rhs: (rhs.rows, rhs.cols),
-            });
-        }
-        let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        if !cfg.should_parallelize(m, k, n, m) {
-            return self.matmul_nt(rhs);
-        }
-        self.par_matmul_nt_packed(&PackedB::from_nt_par(rhs, cfg), cfg)
-    }
-
-    /// Parallel `self · Bᵀ` against an already-packed B — row blocks of
-    /// the register-blocked `nt` kernel, no packing cost. Falls back to
-    /// the serial packed kernel below the config's size threshold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `self.cols != pb.k()`.
-    pub fn par_matmul_nt_packed(&self, pb: &PackedB, cfg: &ParallelConfig) -> Result<Matrix> {
-        if self.cols != pb.k() {
-            return Err(TensorError::ShapeMismatch {
-                op: "par_matmul_nt_packed",
-                lhs: (self.rows, self.cols),
-                rhs: (pb.n(), pb.k()),
-            });
-        }
-        let (m, k, n) = (self.rows, self.cols, pb.n());
-        if !cfg.should_parallelize(m, k, n, m) {
-            return self.matmul_nt_packed(pb);
-        }
-        let simd = crate::simd::use_simd(m, k, n);
-        let a = &self.data;
-        let mut out = Matrix::zeros(m, n);
-        Self::par_row_blocks(&mut out.data, m, n, cfg.threads, |row0, rows, chunk| {
-            debug_assert!((row0 + rows) * k <= a.len());
-            let a_rows = &a[row0 * k..(row0 + rows) * k];
-            if simd {
-                crate::simd::gemm_rows_nt(a_rows, rows, k, pb, chunk, Store::Assign);
-            } else {
-                kernels::gemm_nt_rows(a_rows, rows, k, pb, chunk, Store::Assign);
-            }
-        });
-        Ok(out)
-    }
-
-    /// Parallel `selfᵀ · rhs` (the weight-gradient orientation) —
-    /// packs B once, then partitions over **output** rows (columns of
-    /// `self`), with each element accumulating over the batch dimension
-    /// in the same ascending order as [`Matrix::matmul_tn`], so results
-    /// are bit-identical to the serial kernel. Serial fallback below
-    /// the config's size threshold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `self.rows != rhs.rows`.
-    pub fn par_matmul_tn(&self, rhs: &Matrix, cfg: &ParallelConfig) -> Result<Matrix> {
-        if self.rows != rhs.rows {
-            return Err(TensorError::ShapeMismatch {
-                op: "par_matmul_tn",
-                lhs: (self.rows, self.cols),
-                rhs: (rhs.rows, rhs.cols),
-            });
-        }
-        let (k, m, n) = (self.rows, self.cols, rhs.cols);
-        if !cfg.should_parallelize(m, k, n, m) {
-            return self.matmul_tn(rhs);
-        }
-        let pb = PackedB::from_nn_par(rhs, cfg);
-        let mut out = Matrix::zeros(m, n);
-        if crate::simd::use_simd(m, k, n) {
-            // tn's own SIMD layout — see `matmul_tn_packed`.
-            let at = self.transposed_blocked();
-            let a = &at.data;
-            Self::par_row_blocks(&mut out.data, m, n, cfg.threads, |row0, rows, chunk| {
-                debug_assert!((row0 + rows) * k <= a.len());
-                crate::simd::gemm_rows_nn(
-                    &a[row0 * k..(row0 + rows) * k],
-                    rows,
-                    k,
-                    &pb,
-                    chunk,
-                    Store::Assign,
-                );
-            });
-            return Ok(out);
-        }
-        let a = &self.data;
-        Self::par_row_blocks(&mut out.data, m, n, cfg.threads, |row0, rows, chunk| {
-            kernels::gemm_tn_rows(a, m, k, row0, rows, &pb, chunk, Store::Assign);
-        });
-        Ok(out)
     }
 
     /// Element-wise sum `self + rhs`.
@@ -1345,56 +1182,70 @@ mod tests {
         assert_eq!(fast, slow);
     }
 
-    #[test]
-    fn parallel_matmul_matches_serial() {
-        use crate::init;
-        // Above the parallel threshold.
-        let a = init::uniform(256, 160, -1.0, 1.0, 11);
-        let b = init::uniform(200, 160, -1.0, 1.0, 12);
-        let serial = a.matmul_nt(&b).unwrap();
-        for threads in [1usize, 2, 4, 7] {
-            let par = a.matmul_nt_par(&b, threads).unwrap();
-            assert!(par.rel_diff(&serial) < 1e-6, "threads={threads}");
+    /// `[m, n]` product of the threaded packed kernels: `nn`/`nt` into
+    /// a fresh buffer, `tn` accumulated onto zeros.
+    fn threaded(a: &Matrix, b: &Matrix, orient: &str, cfg: &ParallelConfig) -> Result<Matrix> {
+        match orient {
+            "nn" => {
+                let mut out = Matrix::zeros(a.rows, b.cols);
+                a.matmul_nn_packed_into(
+                    &PackedB::from_nn_par(b, cfg),
+                    &mut out,
+                    Store::Assign,
+                    cfg,
+                )?;
+                Ok(out)
+            }
+            "nt" => {
+                let mut out = Matrix::zeros(a.rows, b.rows);
+                a.matmul_nt_packed_into(
+                    &PackedB::from_nt_par(b, cfg),
+                    &mut out,
+                    Store::Assign,
+                    cfg,
+                )?;
+                Ok(out)
+            }
+            _ => {
+                let mut out = Matrix::zeros(a.cols, b.cols);
+                a.matmul_tn_acc_into(b, &mut out, &mut TnAccScratch::default(), cfg)?;
+                Ok(out)
+            }
         }
-        // Below the threshold (fallback path).
-        let small = init::uniform(8, 8, -1.0, 1.0, 13);
-        assert_eq!(
-            small.matmul_nt_par(&small, 4).unwrap(),
-            small.matmul_nt(&small).unwrap()
-        );
-        assert!(a.matmul_nt_par(&Matrix::zeros(5, 9), 2).is_err());
     }
 
-    /// The determinism contract of the η-parallel kernels: above the
-    /// fallback threshold, every orientation is **bit-identical** to
-    /// its serial kernel at every thread count (not merely close).
+    /// The determinism contract of the η-parallel kernels: every
+    /// orientation is **bit-identical** to its serial kernel at every
+    /// thread count (not merely close), whether the row split is forced
+    /// on modest shapes or taken naturally above the size threshold.
     #[test]
     fn parallel_kernels_are_bit_identical_to_serial() {
         use crate::init;
-        // Force the parallel path on modest shapes.
-        let mut cfg = ParallelConfig::with_threads(2);
-        cfg.min_kernel_flops = 1;
         let a = init::uniform(64, 48, -1.0, 1.0, 21);
         let b_nn = init::uniform(48, 40, -1.0, 1.0, 22);
         let b_nt = init::uniform(40, 48, -1.0, 1.0, 23);
         let b_tn = init::uniform(64, 40, -1.0, 1.0, 24);
-        for threads in [2usize, 3, 5, 8] {
-            cfg.threads = threads;
+        let big = init::uniform(256, 160, -1.0, 1.0, 11);
+        let big_nt = init::uniform(200, 160, -1.0, 1.0, 12);
+        for threads in [1usize, 2, 3, 5, 8] {
+            let mut cfg = ParallelConfig::with_threads(threads);
             assert_eq!(
-                a.par_matmul_nn(&b_nn, &cfg).unwrap(),
-                a.matmul_nn(&b_nn).unwrap(),
-                "nn threads={threads}"
+                threaded(&big, &big_nt, "nt", &cfg).unwrap(),
+                big.matmul_nt(&big_nt).unwrap(),
+                "natural nt threads={threads}"
             );
-            assert_eq!(
-                a.par_matmul_nt(&b_nt, &cfg).unwrap(),
-                a.matmul_nt(&b_nt).unwrap(),
-                "nt threads={threads}"
-            );
-            assert_eq!(
-                a.par_matmul_tn(&b_tn, &cfg).unwrap(),
-                a.matmul_tn(&b_tn).unwrap(),
-                "tn threads={threads}"
-            );
+            cfg.min_kernel_flops = 1;
+            for (orient, a, b, serial) in [
+                ("nn", &a, &b_nn, a.matmul_nn(&b_nn)),
+                ("nt", &a, &b_nt, a.matmul_nt(&b_nt)),
+                ("tn", &a, &b_tn, a.matmul_tn(&b_tn)),
+            ] {
+                assert_eq!(
+                    threaded(a, b, orient, &cfg).unwrap(),
+                    serial.unwrap(),
+                    "{orient} threads={threads}"
+                );
+            }
         }
     }
 
@@ -1402,9 +1253,9 @@ mod tests {
     fn parallel_kernels_reject_shape_mismatches() {
         let cfg = ParallelConfig::with_threads(4);
         let a = Matrix::zeros(4, 6);
-        assert!(a.par_matmul_nn(&Matrix::zeros(5, 4), &cfg).is_err());
-        assert!(a.par_matmul_nt(&Matrix::zeros(4, 5), &cfg).is_err());
-        assert!(a.par_matmul_tn(&Matrix::zeros(5, 4), &cfg).is_err());
+        assert!(threaded(&a, &Matrix::zeros(5, 4), "nn", &cfg).is_err());
+        assert!(threaded(&a, &Matrix::zeros(4, 5), "nt", &cfg).is_err());
+        assert!(threaded(&a, &Matrix::zeros(5, 4), "tn", &cfg).is_err());
     }
 
     #[test]
@@ -1502,10 +1353,10 @@ mod tests {
     #[test]
     fn into_and_epilogue_forms_agree_with_dispatch_above_threshold() {
         use crate::init;
-        // The cell's forward_with (dispatch) and forward_ws (packed
-        // workspace) paths must stay bitwise interchangeable above the
-        // SIMD threshold — the dispatch decision is a function of the
-        // full logical shape only.
+        // The cell's reference `forward` (dispatch) and `forward_into`
+        // (packed workspace) paths must stay bitwise interchangeable
+        // above the SIMD threshold — the dispatch decision is a
+        // function of the full logical shape only.
         let cfg = ParallelConfig::serial();
         let x = init::uniform(48, 40, -1.0, 1.0, 51);
         let w = init::uniform(64, 40, -1.0, 1.0, 52);

@@ -168,7 +168,7 @@ impl SparseVec {
     }
 
     /// Decodes into a caller-owned buffer, zeroing pruned positions —
-    /// the zero-alloc counterpart of [`decode`] the per-timestep
+    /// the zero-alloc counterpart of [`SparseVec::decode`] the per-timestep
     /// backward path uses with reused workspace storage.
     ///
     /// # Panics

@@ -127,35 +127,45 @@ proptest! {
     }
 
     /// The implicit entry points (which dispatch on PACK_MIN_FLOPS) and
-    /// the parallel entry points agree bitwise with the naive loops at
-    /// any thread count — the dispatch threshold and the row-block
+    /// the threaded packed kernels agree bitwise with the naive loops at
+    /// 1, 2 and 8 threads — the dispatch threshold and the row-block
     /// partitioning are latency knobs, never numeric ones.
     #[test]
     fn gemm_dispatch_and_parallel_bit_identical_to_naive(
         (m, k, n) in (1usize..12, 1usize..12, 1usize..12),
-        threads in 1usize..5,
         force_parallel in proptest::bool::ANY,
         seed in 1000u64..2000
     ) {
-        let mut cfg = ParallelConfig::with_threads(threads);
-        if force_parallel {
-            cfg.min_kernel_flops = 1;
-        }
         let a = seasoned(m, k, seed);
         let b_nn = seasoned(k, n, seed.wrapping_add(1));
         let b_nt = seasoned(n, k, seed.wrapping_add(2));
         let a_tn = seasoned(k, m, seed.wrapping_add(3));
+        let naive_nn = a.matmul_nn_naive(&b_nn).unwrap();
+        let naive_nt = a.matmul_nt_naive(&b_nt).unwrap();
+        let naive_tn = a_tn.matmul_tn_naive(&b_nn).unwrap();
 
-        prop_assert_eq!(a.matmul_nn(&b_nn).unwrap(), a.matmul_nn_naive(&b_nn).unwrap());
-        prop_assert_eq!(a.matmul_nt(&b_nt).unwrap(), a.matmul_nt_naive(&b_nt).unwrap());
-        prop_assert_eq!(a_tn.matmul_tn(&b_nn).unwrap(), a_tn.matmul_tn_naive(&b_nn).unwrap());
+        prop_assert_eq!(&a.matmul_nn(&b_nn).unwrap(), &naive_nn);
+        prop_assert_eq!(&a.matmul_nt(&b_nt).unwrap(), &naive_nt);
+        prop_assert_eq!(&a_tn.matmul_tn(&b_nn).unwrap(), &naive_tn);
 
-        prop_assert_eq!(a.par_matmul_nn(&b_nn, &cfg).unwrap(), a.matmul_nn_naive(&b_nn).unwrap());
-        prop_assert_eq!(a.par_matmul_nt(&b_nt, &cfg).unwrap(), a.matmul_nt_naive(&b_nt).unwrap());
-        prop_assert_eq!(
-            a_tn.par_matmul_tn(&b_nn, &cfg).unwrap(),
-            a_tn.matmul_tn_naive(&b_nn).unwrap()
-        );
+        for threads in [1usize, 2, 8] {
+            let mut cfg = ParallelConfig::with_threads(threads);
+            if force_parallel {
+                cfg.min_kernel_flops = 1;
+            }
+            let mut nn = Matrix::zeros(m, n);
+            a.matmul_nn_packed_into(&PackedB::from_nn_par(&b_nn, &cfg), &mut nn, Store::Assign, &cfg)
+                .unwrap();
+            prop_assert_eq!(&nn, &naive_nn);
+            let mut nt = Matrix::zeros(m, n);
+            a.matmul_nt_packed_into(&PackedB::from_nt_par(&b_nt, &cfg), &mut nt, Store::Assign, &cfg)
+                .unwrap();
+            prop_assert_eq!(&nt, &naive_nt);
+            let mut tn = Matrix::zeros(m, n);
+            a_tn.matmul_tn_acc_into(&b_nn, &mut tn, &mut TnAccScratch::default(), &cfg)
+                .unwrap();
+            prop_assert_eq!(&tn, &naive_tn);
+        }
     }
 
     /// The in-place accumulate/epilogue forms match their composed

@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use eta_lstm::core::layer::{Instruments, LstmLayer, StorageMode};
+use eta_lstm::core::layer::{Exec, Instruments, LstmLayer, StorageMode};
 use eta_lstm::core::ms1::Ms1Config;
 use eta_lstm::core::{LayerPanels, Workspace};
 use eta_lstm::tensor::{init, Matrix, ParallelConfig};
@@ -94,9 +94,15 @@ fn inputs(seq: usize, width: usize, seed: u64) -> Vec<Matrix> {
 /// Checks the contract for one storage mode and MS2 keep pattern.
 fn check(mode: StorageMode, keep: fn(usize) -> bool) {
     let layer = LstmLayer::new(INPUT, HIDDEN, 5);
-    let panels = LayerPanels::pack(&layer.params);
     let kernel = ParallelConfig::serial();
+    let panels = LayerPanels::pack_with(&layer.params, &kernel);
     let inst = Instruments::new();
+    let exec = Exec {
+        kernel: &kernel,
+        instruments: &inst,
+        panels: &panels,
+        ms3: None,
+    };
     let mut ws = Workspace::new();
     // Smaller of the two weight gradients, `δW` = `[4H, in]` f32.
     let weight_grad_bytes = 4 * HIDDEN * INPUT * 4;
@@ -106,30 +112,11 @@ fn check(mode: StorageMode, keep: fn(usize) -> bool) {
         let dys = inputs(seq, HIDDEN, 200);
         let mask: Vec<bool> = (0..seq).map(keep).collect();
         let tape = layer
-            .forward_sequence_ws(
-                &xs,
-                mode,
-                &mask,
-                None,
-                &kernel,
-                &inst,
-                Some(&panels),
-                &mut ws,
-            )
+            .forward_sequence_ws(&xs, mode, &mask, &mut ws, &exec)
             .expect("forward");
         let (bytes, large, out) = measure(weight_grad_bytes, || {
             layer
-                .backward_sequence_ws(
-                    &xs,
-                    &tape,
-                    &dys,
-                    1.0,
-                    None,
-                    &kernel,
-                    &inst,
-                    Some(&panels),
-                    &mut ws,
-                )
+                .backward_sequence_ws(&xs, &tape, &dys, 1.0, &mut ws, &exec)
                 .expect("backward")
         });
         assert!(out.magnitudes.iter().any(|&m| m > 0.0));

@@ -14,13 +14,46 @@
 
 use eta_lstm::core::gradcheck::check_step_with;
 use eta_lstm::core::layer::Instruments;
-use eta_lstm::core::model::{LstmModel, StepPlan};
+use eta_lstm::core::model::{LstmModel, StepPlan, StepResult};
 use eta_lstm::core::ms1::Ms1Config;
 use eta_lstm::core::ms2::SkipPlan;
 use eta_lstm::core::ms3::{self, LossScaler, Ms3Config};
-use eta_lstm::core::parallel::{train_step_sharded, Parallelism};
-use eta_lstm::core::{LstmConfig, Targets};
+use eta_lstm::core::parallel::{train_step_sharded_ws, Parallelism};
+use eta_lstm::core::{LstmConfig, Result, Targets, WorkspacePool};
 use eta_lstm::tensor::{init, Matrix, Precision};
+
+/// One training step through the engine entry, with freshly packed
+/// panels and a fresh workspace pool.
+fn sharded_step(
+    model: &LstmModel,
+    xs: &[Matrix],
+    targets: &Targets,
+    plan: &StepPlan,
+    inst: &Instruments,
+    par: &Parallelism,
+) -> Result<StepResult> {
+    train_step_sharded_ws(
+        model,
+        xs,
+        targets,
+        plan,
+        inst,
+        par,
+        None,
+        &mut WorkspacePool::new(),
+    )
+}
+
+/// [`sharded_step`] on a single shard: the plain serial step.
+fn step(
+    model: &LstmModel,
+    xs: &[Matrix],
+    targets: &Targets,
+    plan: &StepPlan,
+    inst: &Instruments,
+) -> Result<StepResult> {
+    sharded_step(model, xs, targets, plan, inst, &Parallelism::serial())
+}
 
 const LAYERS: usize = 2;
 const SEQ: usize = 6;
@@ -150,17 +183,13 @@ fn gradcheck_passes_for_ms3_at_every_precision_and_interval() {
 fn loss_scaling_is_bitwise_invisible_in_unscaled_gradients() {
     let (model, xs, targets) = two_layer_case();
     let inst = Instruments::new();
-    let base = model
-        .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
-        .expect("baseline step");
+    let base = step(&model, &xs, &targets, &StepPlan::baseline(), &inst).expect("baseline step");
     let scaled_plan = StepPlan {
         ms3: Some(Ms3Config::new(1, Precision::F32)),
         loss_scale: 1024.0,
         ..StepPlan::baseline()
     };
-    let scaled = model
-        .train_step(&xs, &targets, &scaled_plan, &inst)
-        .expect("scaled step");
+    let scaled = step(&model, &xs, &targets, &scaled_plan, &inst).expect("scaled step");
     assert_eq!(base.loss.to_bits(), scaled.loss.to_bits());
     assert!(!scaled.ms3_overflow);
     for (gb, gs) in base.grads.cells.iter().zip(scaled.grads.cells.iter()) {
@@ -191,9 +220,8 @@ fn overflowed_step_is_flagged_and_scaler_recovers() {
             loss_scale: scale,
             ..StepPlan::baseline()
         };
-        let result = model
-            .train_step(&xs, &targets, &plan, &inst)
-            .expect("step must not error on overflow");
+        let result =
+            step(&model, &xs, &targets, &plan, &inst).expect("step must not error on overflow");
         if !result.ms3_overflow {
             // Recovered: the surviving gradients must be finite and the
             // backoff must have actually happened at least once.
@@ -217,9 +245,8 @@ fn overflowed_step_is_flagged_and_scaler_recovers() {
 fn injected_infinity_trips_the_finite_gate() {
     let (model, xs, targets) = two_layer_case();
     let inst = Instruments::new();
-    let mut result = model
-        .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
-        .expect("baseline step");
+    let mut result =
+        step(&model, &xs, &targets, &StepPlan::baseline(), &inst).expect("baseline step");
     assert!(ms3::grads_are_finite(&result.grads));
     result.grads.cells[0].dw.set(0, 0, f32::INFINITY);
     assert!(!ms3::grads_are_finite(&result.grads));
@@ -234,10 +261,8 @@ fn serial_and_sharded_analytic_gradients_agree() {
     let (model, xs, targets) = two_layer_case();
     let inst = Instruments::new();
     for (strategy, plan) in strategy_plans() {
-        let serial = model
-            .train_step(&xs, &targets, &plan, &inst)
-            .expect("serial step");
-        let sharded = train_step_sharded(
+        let serial = step(&model, &xs, &targets, &plan, &inst).expect("serial step");
+        let sharded = sharded_step(
             &model,
             &xs,
             &targets,

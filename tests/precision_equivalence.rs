@@ -10,7 +10,7 @@
 //!    with a brute-force nearest-value-ties-to-even reference on
 //!    arbitrary f32 inputs, subnormals, overflow boundary and all.
 //! 3. **MS3 neutrality** — an MS3 training step with f32 storage is
-//!    **bit-identical** to the baseline `train_step` at *any*
+//!    **bit-identical** to the baseline step at *any*
 //!    checkpoint interval: recompute replays the same f32 kernels on
 //!    the same seeds, so `k` must not perturb a single ulp. (`k = 1`
 //!    is the ISSUE's headline contract; `k ∈ {2, 4}` additionally pins
@@ -19,13 +19,36 @@
 use eta_lstm::core::layer::Instruments;
 use eta_lstm::core::model::{LstmModel, StepPlan, StepResult};
 use eta_lstm::core::ms3::Ms3Config;
-use eta_lstm::core::{LstmConfig, Targets};
+use eta_lstm::core::parallel::{train_step_sharded_ws, Parallelism};
+use eta_lstm::core::{LstmConfig, Result, Targets, WorkspacePool};
 use eta_lstm::tensor::lowp::{
     bf16_bits_to_f32, f16_bits_to_f32, f16_nearest_reference, f32_to_bf16_bits, f32_to_f16_bits,
     quantize,
 };
 use eta_lstm::tensor::{init, Matrix, Precision};
 use proptest::prelude::*;
+
+/// One serial training step through the engine entry, with freshly
+/// packed panels and a fresh workspace pool.
+fn step(
+    model: &LstmModel,
+    xs: &[Matrix],
+    targets: &Targets,
+    plan: &StepPlan,
+    inst: &Instruments,
+) -> Result<StepResult> {
+    let par = Parallelism::serial();
+    train_step_sharded_ws(
+        model,
+        xs,
+        targets,
+        plan,
+        inst,
+        &par,
+        None,
+        &mut WorkspacePool::new(),
+    )
+}
 
 // ---------------------------------------------------------------------
 // 1. Exhaustive format coverage
@@ -234,16 +257,14 @@ proptest! {
     ) {
         let (model, xs, targets) = random_case(input, hidden, layers, seq, batch, seed);
         let inst = Instruments::new();
-        let base = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+        let base = step(&model, &xs, &targets, &StepPlan::baseline(), &inst)
             .expect("baseline step");
         for k in [1usize, 2, 4] {
             let plan = StepPlan {
                 ms3: Some(Ms3Config::new(k, Precision::F32)),
                 ..StepPlan::baseline()
             };
-            let ms3 = model
-                .train_step(&xs, &targets, &plan, &inst)
+            let ms3 = step(&model, &xs, &targets, &plan, &inst)
                 .expect("ms3 step");
             assert_bitwise_equal(&base, &ms3, &format!("k={k}"));
             prop_assert!(!ms3.ms3_overflow);
@@ -271,14 +292,13 @@ proptest! {
         let (model, xs, _) = random_case(4, hidden, 2, seq, batch, seed);
         let targets = Targets::StepClasses(vec![(0..batch).map(|i| i % 3).collect(); seq]);
         let inst = Instruments::new();
-        let base = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+        let base = step(&model, &xs, &targets, &StepPlan::baseline(), &inst)
             .expect("baseline step");
         let plan = StepPlan {
             ms3: Some(Ms3Config::new(4, Precision::F32)),
             ..StepPlan::baseline()
         };
-        let ms3 = model.train_step(&xs, &targets, &plan, &inst).expect("ms3 step");
+        let ms3 = step(&model, &xs, &targets, &plan, &inst).expect("ms3 step");
         assert_bitwise_equal(&base, &ms3, "step-targets k=4");
     }
 
@@ -302,7 +322,7 @@ proptest! {
                 ms3: Some(Ms3Config::new(k, precision)),
                 ..StepPlan::baseline()
             };
-            model.train_step(&xs, &targets, &plan, &inst).expect("ms3 step")
+            step(&model, &xs, &targets, &plan, &inst).expect("ms3 step")
         };
         let a = step(1);
         let b = step(1);

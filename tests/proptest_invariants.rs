@@ -4,12 +4,35 @@
 //! optimization effects.
 
 use eta_lstm::core::layer::Instruments;
-use eta_lstm::core::model::{LstmModel, StepPlan};
+use eta_lstm::core::model::{LstmModel, StepPlan, StepResult};
 use eta_lstm::core::ms2::{plan_skips, GradPredictor, Ms2Config, MAX_SKIP_FRACTION};
-use eta_lstm::core::{LstmConfig, Targets};
+use eta_lstm::core::parallel::{train_step_sharded_ws, Parallelism};
+use eta_lstm::core::{LstmConfig, Result, Targets, WorkspacePool};
 use eta_lstm::memsim::model::{footprint, traffic, LstmShape, OptEffects};
-use eta_lstm::tensor::init;
+use eta_lstm::tensor::{init, Matrix};
 use proptest::prelude::*;
+
+/// One serial training step through the engine entry, with freshly
+/// packed panels and a fresh workspace pool.
+fn step(
+    model: &LstmModel,
+    xs: &[Matrix],
+    targets: &Targets,
+    plan: &StepPlan,
+    inst: &Instruments,
+) -> Result<StepResult> {
+    let par = Parallelism::serial();
+    train_step_sharded_ws(
+        model,
+        xs,
+        targets,
+        plan,
+        inst,
+        &par,
+        None,
+        &mut WorkspacePool::new(),
+    )
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -38,8 +61,7 @@ proptest! {
             .map(|t| init::uniform(batch, input, -1.0, 1.0, seed + t as u64))
             .collect();
         let targets = Targets::Classes((0..batch).map(|i| i % classes).collect());
-        let result = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &Instruments::new())
+        let result = step(&model, &xs, &targets, &StepPlan::baseline(), &Instruments::new())
             .expect("train step");
         prop_assert!(result.loss.is_finite());
         for g in &result.grads.cells {

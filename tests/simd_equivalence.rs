@@ -139,8 +139,9 @@ proptest! {
         assert_ulp_close("tn", &got, &reference, &absref, k);
     }
 
-    /// Row-partition invariance: any worker split of the rows produces
-    /// the same bits as the unsplit call, for both wrapper kernels.
+    /// Row-partition invariance: any split of the rows produces the same
+    /// bits as the unsplit call, whether made by hand or by the threaded
+    /// `nt`/`nn` entry points at 1, 2 and 8 workers.
     #[test]
     fn row_partition_never_changes_bits(
         m in 2usize..40,
@@ -173,6 +174,30 @@ proptest! {
             Store::Assign,
         );
         assert_bits_equal("row partition", &whole, &parts);
+
+        // The threaded entry points split rows the same way: 1, 2 and
+        // 8 workers reproduce the serial call's bits, for nt and nn.
+        let b_nn = init::uniform(k, n, -1.0, 1.0, seed + 2);
+        let pb_nn = PackedB::from_nn(&b_nn);
+        let serial = ParallelConfig::serial();
+        let mut nt_ref = Matrix::zeros(m, n);
+        a.matmul_nt_packed_into(&pb, &mut nt_ref, Store::Assign, &serial)
+            .expect("shapes agree");
+        let mut nn_ref = Matrix::zeros(m, n);
+        a.matmul_nn_packed_into(&pb_nn, &mut nn_ref, Store::Assign, &serial)
+            .expect("shapes agree");
+        for threads in [1usize, 2, 8] {
+            let mut cfg = ParallelConfig::with_threads(threads);
+            cfg.min_kernel_flops = 1; // force the parallel row split
+            let mut nt = Matrix::zeros(m, n);
+            a.matmul_nt_packed_into(&pb, &mut nt, Store::Assign, &cfg)
+                .expect("shapes agree");
+            assert_bits_equal(&format!("nt rows at {threads} threads"), &nt_ref, &nt);
+            let mut nn = Matrix::zeros(m, n);
+            a.matmul_nn_packed_into(&pb_nn, &mut nn, Store::Assign, &cfg)
+                .expect("shapes agree");
+            assert_bits_equal(&format!("nn rows at {threads} threads"), &nn_ref, &nn);
+        }
     }
 }
 
@@ -267,13 +292,15 @@ fn thread_count_never_changes_bits_on_either_dispatch_path() {
     for threads in [1usize, 2, 8] {
         let mut cfg = ParallelConfig::with_threads(threads);
         cfg.min_kernel_flops = 1; // force the parallel row split
-        let par_nt = a_nt
-            .par_matmul_nt_packed(&pb_nt, &cfg)
+        let mut par_nt = Matrix::zeros(m, n);
+        a_nt.matmul_nt_packed_into(&pb_nt, &mut par_nt, Store::Assign, &cfg)
             .expect("shapes agree");
-        let par_nn = a_nt
-            .par_matmul_nn_packed(&pb_nn, &cfg)
+        let mut par_nn = Matrix::zeros(m, n);
+        a_nt.matmul_nn_packed_into(&pb_nn, &mut par_nn, Store::Assign, &cfg)
             .expect("shapes agree");
-        let par_tn = a_tn.par_matmul_tn(&b_nn, &cfg).expect("shapes agree");
+        let mut par_tn = Matrix::zeros(m, n);
+        a_tn.matmul_tn_acc_into(&b_nn, &mut par_tn, &mut scratch, &cfg)
+            .expect("shapes agree");
         assert_bits_equal(&format!("nt at {threads} threads"), &serial_nt, &par_nt);
         assert_bits_equal(&format!("nn at {threads} threads"), &serial_nn, &par_nn);
         assert_bits_equal(&format!("tn at {threads} threads"), &serial_tn, &par_tn);

@@ -16,10 +16,43 @@
 use eta_lstm::core::layer::Instruments;
 use eta_lstm::core::model::{LstmModel, StepPlan, StepResult};
 use eta_lstm::core::ms1::Ms1Config;
-use eta_lstm::core::parallel::{train_step_sharded, Parallelism};
-use eta_lstm::core::{LstmConfig, Targets};
+use eta_lstm::core::parallel::{train_step_sharded_ws, Parallelism};
+use eta_lstm::core::{LstmConfig, Result, Targets, WorkspacePool};
 use eta_lstm::tensor::{init, Matrix};
 use proptest::prelude::*;
+
+/// One training step through the engine entry, with freshly packed
+/// panels and a fresh workspace pool.
+fn sharded_step(
+    model: &LstmModel,
+    xs: &[Matrix],
+    targets: &Targets,
+    plan: &StepPlan,
+    inst: &Instruments,
+    par: &Parallelism,
+) -> Result<StepResult> {
+    train_step_sharded_ws(
+        model,
+        xs,
+        targets,
+        plan,
+        inst,
+        par,
+        None,
+        &mut WorkspacePool::new(),
+    )
+}
+
+/// [`sharded_step`] on a single shard: the plain serial step.
+fn step(
+    model: &LstmModel,
+    xs: &[Matrix],
+    targets: &Targets,
+    plan: &StepPlan,
+    inst: &Instruments,
+) -> Result<StepResult> {
+    sharded_step(model, xs, targets, plan, inst, &Parallelism::serial())
+}
 
 fn random_case(
     input: usize,
@@ -72,15 +105,13 @@ proptest! {
     ) {
         let (model, xs, targets) = random_case(input, hidden, layers, seq, batch, seed);
         let inst = Instruments::new();
-        let base = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+        let base = step(&model, &xs, &targets, &StepPlan::baseline(), &inst)
             .expect("baseline step");
         let ms1_plan = StepPlan {
             ms1: Some(Ms1Config { threshold: 0.0 }),
             ..StepPlan::baseline()
         };
-        let ms1 = model
-            .train_step(&xs, &targets, &ms1_plan, &inst)
+        let ms1 = step(&model, &xs, &targets, &ms1_plan, &inst)
             .expect("ms1 step");
         prop_assert_eq!(base.loss.to_bits(), ms1.loss.to_bits());
         for (gb, gm) in base.grads.cells.iter().zip(ms1.grads.cells.iter()) {
@@ -107,8 +138,7 @@ proptest! {
     ) {
         let (model, xs, targets) = random_case(input, hidden, layers, seq, batch, seed);
         let inst = Instruments::new();
-        let base = model
-            .train_step(&xs, &targets, &StepPlan::baseline(), &inst)
+        let base = step(&model, &xs, &targets, &StepPlan::baseline(), &inst)
             .expect("baseline step");
         // Warm-up CombinedMs: MS1 storage, skip: None (no plan yet).
         let combined_plan = StepPlan {
@@ -116,8 +146,7 @@ proptest! {
             skip: None,
             ..StepPlan::baseline()
         };
-        let combined = model
-            .train_step(&xs, &targets, &combined_plan, &inst)
+        let combined = step(&model, &xs, &targets, &combined_plan, &inst)
             .expect("combined step");
         prop_assert!((base.loss - combined.loss).abs() < 1e-9);
         prop_assert!(max_grad_rel_diff(&base, &combined) < 1e-5);
@@ -146,10 +175,9 @@ proptest! {
         } else {
             StepPlan::baseline()
         };
-        let serial = model
-            .train_step(&xs, &targets, &plan, &inst)
+        let serial = step(&model, &xs, &targets, &plan, &inst)
             .expect("serial step");
-        let sharded = train_step_sharded(
+        let sharded = sharded_step(
             &model,
             &xs,
             &targets,
@@ -163,7 +191,7 @@ proptest! {
         prop_assert!(max_grad_rel_diff(&serial, &sharded) < 1e-5);
 
         // Thread count is a pure latency knob: bit-identical results.
-        let threads8 = train_step_sharded(
+        let threads8 = sharded_step(
             &model,
             &xs,
             &targets,
