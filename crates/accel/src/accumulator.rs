@@ -255,7 +255,6 @@ impl AccumulatorResources {
     }
 }
 
-#[cfg(feature = "telemetry")]
 impl AccumulatorSim {
     /// [`AccumulatorSim::run`] plus metric recording.
     ///

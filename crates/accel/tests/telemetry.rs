@@ -2,8 +2,6 @@
 //! behavior exactly (telemetry is an observer, never a participant) and
 //! record the documented metric names.
 
-#![cfg(feature = "telemetry")]
-
 use eta_accel::accumulator::AccumulatorSim;
 use eta_accel::arch::{AccelConfig, ArchKind, EtaAccel};
 use eta_accel::dma::DmaModule;

@@ -24,11 +24,14 @@ fn bench_strategies(c: &mut Criterion) {
     group.finish();
 }
 
-/// Guard for the `telemetry` feature's hot-path cost: a full
-/// instrumented training run (spans + metric mirrors into the registry,
-/// no sinks) must stay within 5 % of the bare run. The comparison is
+/// Guard for the telemetry handle's hot-path cost: a full instrumented
+/// training run (spans + metric mirrors into the registry, no sinks)
+/// must stay within 5 % of the same run with no handle. Both legs run
+/// the same compiled code; only the handle differs. The comparison is
 /// measured directly (median of interleaved repetitions) so the guard
-/// can assert, not just display.
+/// can assert, not just display. On a 2-core x86-64 host the measured
+/// ratio spans 0.998–1.411 and this assert fails in most runs (see
+/// README "Observability"); no CI job runs it.
 fn bench_telemetry_overhead(c: &mut Criterion) {
     let cfg = eta_bench::scaled_config(Benchmark::Imdb);
     let task = scaled_task(Benchmark::Imdb);
@@ -85,9 +88,10 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 /// Guard for the span *tracing* cost: a training run with telemetry
 /// plus an attached [`eta_prof::Tracer`] (every span boundary recorded
 /// with a timestamp) must stay within 5 % of the same telemetry run
-/// with no tracer. This is the ISSUE's <5 % tracing-overhead contract
-/// — the spans are always compiled in (`prof` is a default feature);
-/// attaching the observer is what turns recording on.
+/// with no tracer. The spans are always compiled in; attaching the
+/// observer is what turns recording on. On a 2-core x86-64 host the
+/// measured ratio spans 1.094–1.345, so this assert fails (see README
+/// "Profiling"); no CI job runs it.
 fn bench_tracing_overhead(c: &mut Criterion) {
     let cfg = eta_bench::scaled_config(Benchmark::Imdb);
     let task = scaled_task(Benchmark::Imdb);

@@ -12,12 +12,13 @@
 //!    panic-reachability, S2 nondeterminism taint, and S3 telemetry
 //!    key liveness.
 //! 3. **CFG + dataflow rules** ([`semantic::cfg`],
-//!    [`semantic::dataflow`]) — per-function control-flow graphs and
-//!    worklist analyses drive H1 (hot-path allocation discipline),
-//!    A2 (SIMD intrinsic hygiene), and DS1 (dead stores); the S1
-//!    bounds prover gains a 2-D linear-arithmetic engine
-//!    ([`semantic::linear`]) that discharges `data[r * cols + c]`
-//!    indexing from constructor invariants. R1 additionally rejects
+//!    [`semantic::dataflow`]) — per-function control-flow graphs
+//!    drive H1 (hot-path allocation discipline) and A2 (SIMD
+//!    intrinsic hygiene), and worklist liveness drives DS1 (dead
+//!    stores); S1's bounds prover is a linear-arithmetic engine
+//!    ([`semantic::linear`]) that discharges both `xs[i]` and
+//!    flattened `data[r * cols + c]` indexing from local guards and
+//!    constructor invariants. R1 additionally rejects
 //!    stray `.proptest-regressions` seed files anywhere in the tree
 //!    (the in-tree proptest shim never replays them).
 //! 4. **Concurrency rules** ([`semantic::conc`]) — scoped-thread

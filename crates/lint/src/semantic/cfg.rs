@@ -5,9 +5,8 @@
 //! `if`/`else`, `match`, the three loop forms, `break`, `continue`,
 //! and `return`. A dedicated entry block starts the graph and a
 //! dedicated exit block terminates it; `return` edges go straight to
-//! the exit. The graph is the substrate for the worklist analyses in
-//! [`super::dataflow`] (liveness for DS1, reaching definitions,
-//! constant propagation).
+//! the exit. The graph is the substrate for the worklist liveness
+//! analysis in [`super::dataflow`] (consumed by DS1).
 //!
 //! Lowering is total: expression-position control flow that the
 //! builder does not split on (an `if` nested inside a call argument,

@@ -17,12 +17,12 @@
 //!   reborrows, writes through iteration-local bindings, and
 //!   transitive captures of `let`-bound worker closures
 //!   (`run_shard`-style) chased through the call graph. Footprints
-//!   reduce to [`super::disjoint::Region`]s and disjointness is
-//!   discharged by the layer-3 linear prover: `chunks_mut` windows
-//!   `[c·w, (c+1)·w)`, `split_at_mut` halves, `iter_mut`/`into_iter`
-//!   element slots (the round-robin bucket pattern in
-//!   `crates/core/src/parallel.rs`), and per-worker `WorkspacePool`
-//!   slots all prove clean. Anything unprovable is reported with the
+//!   reduce to a base place plus a [`super::disjoint::Span`] and
+//!   disjointness is discharged by the layer-3 linear prover:
+//!   `chunks_mut` windows `[c·w, (c+1)·w)`, `split_at_mut` halves,
+//!   `iter_mut`/`into_iter` element slots (the round-robin bucket
+//!   pattern in `crates/core/src/parallel.rs`), and per-worker
+//!   `WorkspacePool` slots all prove clean. Anything unprovable is reported with the
 //!   full capture chain.
 //!
 //! * **C2 — deterministic merge order.** Cross-thread results must

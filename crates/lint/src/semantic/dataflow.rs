@@ -3,19 +3,13 @@
 //! An [`Analysis`] supplies the lattice (a join and an initial value)
 //! and a block transfer function; [`solve`] iterates to a fixpoint
 //! with a hard iteration cap so the solver is total even on lattices
-//! whose implementations fail to converge. Three stock analyses are
-//! provided and unit-tested here:
-//!
-//! * [`Liveness`] — backward may-analysis over variable-name sets;
-//!   the substrate for the DS1 dead-store rule.
-//! * [`ReachingDefs`] — forward may-analysis mapping each variable to
-//!   the set of assignment lines that may define it.
-//! * [`ConstProp`] — forward must-analysis over a flat constant
-//!   lattice (`⊤` unknown / known literal / `⊥` conflicting).
+//! whose implementations fail to converge. One analysis is provided
+//! and unit-tested here: [`Liveness`], a backward may-analysis over
+//! variable-name sets and the substrate for the DS1 dead-store rule.
 
 use super::cfg::Cfg;
-use crate::ast::{peel, Expr, ExprKind};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::ast::{Expr, ExprKind};
+use std::collections::BTreeSet;
 
 /// Direction + lattice + transfer for one dataflow problem.
 pub trait Analysis {
@@ -100,7 +94,7 @@ pub fn solve<A: Analysis>(cfg: &Cfg, a: &A) -> Solution<A::Fact> {
 }
 
 // ---------------------------------------------------------------------------
-// Read/write classification shared by the stock analyses.
+// Read/write classification (liveness and DS1).
 // ---------------------------------------------------------------------------
 
 /// Variable names read by an expression tree. Assignment left-hand
@@ -197,142 +191,6 @@ impl Analysis for Liveness {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Reaching definitions (forward, may).
-// ---------------------------------------------------------------------------
-
-pub struct ReachingDefs;
-
-impl Analysis for ReachingDefs {
-    /// var → lines of assignments that may reach this point.
-    type Fact = BTreeMap<String, BTreeSet<u32>>;
-
-    fn backward(&self) -> bool {
-        false
-    }
-
-    fn init(&self) -> Self::Fact {
-        BTreeMap::new()
-    }
-
-    fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-        let mut out = a.clone();
-        for (k, v) in b {
-            out.entry(k.clone()).or_default().extend(v.iter().copied());
-        }
-        out
-    }
-
-    fn transfer(&self, events: &[&Expr], fact: &Self::Fact) -> Self::Fact {
-        let mut out = fact.clone();
-        for e in events {
-            e.walk(&mut |e| {
-                if let ExprKind::Assign { op, lhs, .. } = &e.kind {
-                    if op == "=" {
-                        if let Some(name) = peel(lhs).path_last() {
-                            let defs = out.entry(name.to_string()).or_default();
-                            defs.clear();
-                            defs.insert(e.line);
-                        }
-                    }
-                }
-            });
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Constant propagation (forward, must) on a flat lattice.
-// ---------------------------------------------------------------------------
-
-/// Flat constant lattice: absent = unknown (`⊤`), `Known(v)`, or
-/// `Conflict` (`⊥`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Const {
-    Known(i64),
-    Conflict,
-}
-
-pub struct ConstProp;
-
-impl Analysis for ConstProp {
-    type Fact = BTreeMap<String, Const>;
-
-    fn backward(&self) -> bool {
-        false
-    }
-
-    fn init(&self) -> Self::Fact {
-        BTreeMap::new()
-    }
-
-    fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-        let mut out = a.clone();
-        for (k, v) in b {
-            match out.get(k) {
-                None => {
-                    out.insert(k.clone(), v.clone());
-                }
-                Some(old) if old == v => {}
-                Some(_) => {
-                    out.insert(k.clone(), Const::Conflict);
-                }
-            }
-        }
-        out
-    }
-
-    fn transfer(&self, events: &[&Expr], fact: &Self::Fact) -> Self::Fact {
-        let mut out = fact.clone();
-        for e in events {
-            e.walk(&mut |e| {
-                if let ExprKind::Assign { op, lhs, rhs } = &e.kind {
-                    if op == "=" {
-                        if let Some(name) = peel(lhs).path_last() {
-                            let v = eval_const(rhs, &out)
-                                .map(Const::Known)
-                                .unwrap_or(Const::Conflict);
-                            out.insert(name.to_string(), v);
-                        }
-                    }
-                }
-            });
-        }
-        out
-    }
-}
-
-/// Evaluates `+`/`-`/`*` over literals and known variables.
-pub fn eval_const(e: &Expr, env: &BTreeMap<String, Const>) -> Option<i64> {
-    match &peel(e).kind {
-        ExprKind::Num(n) => {
-            let digits: String = n.chars().filter(|c| *c != '_').collect();
-            let end = digits
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(digits.len());
-            if end == 0 || n.contains('.') {
-                return None;
-            }
-            digits[..end].parse().ok()
-        }
-        ExprKind::Path(segs) if segs.len() == 1 => match env.get(&segs[0]) {
-            Some(Const::Known(v)) => Some(*v),
-            _ => None,
-        },
-        ExprKind::Binary { op, lhs, rhs } => {
-            let (a, b) = (eval_const(lhs, env)?, eval_const(rhs, env)?);
-            match op.as_str() {
-                "+" => a.checked_add(b),
-                "-" => a.checked_sub(b),
-                "*" => a.checked_mul(b),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,60 +242,5 @@ mod tests {
         let sol = solve(&cfg, &Liveness);
         // Nothing is live out of the exit block.
         assert!(sol.output[cfg.exit].is_empty());
-    }
-
-    #[test]
-    fn reaching_defs_merge_at_join() {
-        let body = body_of(
-            "fn f(c: bool) -> u32 {\n\
-             \x20   let mut x = 0;\n\
-             \x20   if c {\n\
-             \x20       x = 1;\n\
-             \x20   } else {\n\
-             \x20       x = 2;\n\
-             \x20   }\n\
-             \x20   x\n\
-             }",
-        );
-        let cfg = Cfg::build(&body);
-        let sol = solve(&cfg, &ReachingDefs);
-        let at_exit = &sol.input[cfg.exit];
-        let defs = at_exit.get("x").cloned().unwrap_or_default();
-        assert!(defs.len() >= 2, "both branch defs reach the exit: {defs:?}");
-    }
-
-    #[test]
-    fn const_prop_joins_to_conflict() {
-        let body = body_of(
-            "fn f(c: bool) -> u32 {\n\
-             \x20   let mut x = 0;\n\
-             \x20   if c { x = 1; } else { x = 2; }\n\
-             \x20   x\n\
-             }",
-        );
-        let cfg = Cfg::build(&body);
-        let sol = solve(&cfg, &ConstProp);
-        assert_eq!(sol.input[cfg.exit].get("x"), Some(&Const::Conflict));
-    }
-
-    #[test]
-    fn const_prop_straight_line_folds() {
-        let body = body_of("fn f() -> u32 { let mut x = 0; x = 2; x = x * 3 + 1; x }");
-        let cfg = Cfg::build(&body);
-        let sol = solve(&cfg, &ConstProp);
-        assert_eq!(sol.output[cfg.entry].get("x"), Some(&Const::Known(7)));
-    }
-
-    #[test]
-    fn eval_const_arithmetic() {
-        let mut env = BTreeMap::new();
-        env.insert("k".to_string(), Const::Known(4));
-        let body = body_of("fn f(k: usize) -> usize { k * 8 + 2 }");
-        // Find the tail expression and evaluate it.
-        if let crate::ast::Stmt::Expr { expr, .. } = &body.stmts[0] {
-            assert_eq!(eval_const(expr, &env), Some(34));
-        } else {
-            panic!("tail expr expected");
-        }
     }
 }

@@ -2,10 +2,12 @@
 //! [`super::linear`] prover.
 //!
 //! The concurrency analysis ([`super::conc`]) reduces every mutable
-//! place a spawned closure captures to a [`Region`]: a canonical base
+//! place a spawned closure captures to a region: a canonical base
 //! atom plus a [`Span`] describing which part of the base the closure
 //! may write. Rule C1 then asks, for each pair of concurrently-live
-//! closures, whether their mutable footprints are *provably* disjoint.
+//! closures, whether their mutable footprints are *provably* disjoint:
+//! it compares the bases itself and hands same-base pairs to
+//! [`spans_disjoint`].
 //!
 //! Spans are linear forms over the same atoms the bounds prover uses,
 //! so every fact source it knows (asserts, loop ranges, `split_at_mut`
@@ -40,13 +42,6 @@ pub enum Span {
     Elem(LinForm),
 }
 
-/// A mutable footprint: a canonical base place plus the span written.
-#[derive(Clone, Debug)]
-pub struct Region {
-    pub base: String,
-    pub span: Span,
-}
-
 /// The `c`-th size-`w` chunk `[c·w, (c+1)·w)` — the span of one
 /// `chunks_mut(w)` / `chunks_exact_mut(w)` element under an
 /// `.enumerate()` counter. (The final `chunks_mut` element may be
@@ -71,16 +66,6 @@ pub fn spans_disjoint(a: &Span, b: &Span, facts: &Facts) -> bool {
             linear::le(h1, l2, facts) || linear::le(h2, l1, facts)
         }
     }
-}
-
-/// Are two *regions* provably disjoint? Distinct canonical bases are
-/// disjoint by construction (they are different named places after
-/// alias resolution); same-base regions fall back to span arithmetic.
-pub fn regions_disjoint(a: &Region, b: &Region, facts: &Facts) -> bool {
-    if a.base != b.base {
-        return true;
-    }
-    spans_disjoint(&a.span, &b.span, facts)
 }
 
 /// Is a counter-parameterised span disjoint from itself at any other

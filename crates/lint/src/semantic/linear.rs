@@ -1,10 +1,11 @@
 //! Layer-3 bounds engine: a linear-arithmetic prover over products of
-//! symbolic atoms (the "2-D prover").
+//! symbolic atoms, and S1's only index-bounds prover.
 //!
-//! Where [`super::bounds`] discharges 1-D shapes (`for i in 0..xs.len()`),
-//! this module proves flattened 2-D indexing such as `data[r * cols + c]`
-//! from constructor invariants (`data.len() == rows * cols`), loop
-//! bounds (`r < rows`), and `assert!`/`debug_assert!` guards.
+//! It discharges 1-D shapes (`for i in 0..xs.len()`, `j % xs.len()`,
+//! `assert!(j < xs.len())`) and flattened 2-D indexing such as
+//! `data[r * cols + c]` from constructor invariants
+//! (`data.len() == rows * cols`), loop bounds (`r < rows`), and
+//! `assert!`/`debug_assert!` guards.
 //!
 //! # Representation
 //!
@@ -40,7 +41,7 @@
 //! (`Matrix::zeros(r, c)` ⇒ `out.data.len() = r·c`).
 //!
 //! Facts are gathered flow-insensitively (the same over-approximation
-//! the 1-D prover and S2 already make): a `while` condition or assert
+//! S2 already makes): a `while` condition or assert
 //! is assumed to hold anywhere in the body. This can in principle
 //! discharge an index that a flow-sensitive analysis would keep, which
 //! is an accepted trade-off for a lint (documented in DESIGN.md §9).

@@ -25,10 +25,11 @@
 //! * **DS1** ([`ds1`]) — dead stores: computed values overwritten or
 //!   dropped before any read (liveness over the CFG).
 //!
-//! The S1 bounds prover additionally consults the 2-D linear engine
-//! ([`linear`]), which discharges `data[r * cols + c]` indexing from
-//! constructor invariants and local guards, plus the struct-field
-//! shape pass ([`shape`]) proving equal-length `Vec` field pairs.
+//! S1 proves indexing in bounds with the linear-arithmetic engine
+//! ([`linear`]), which discharges `xs[i]` and `data[r * cols + c]`
+//! indexing from constructor invariants and local guards, helped by
+//! the struct-field shape pass ([`shape`]) proving equal-length `Vec`
+//! field pairs.
 //!
 //! Layer 4 is the concurrency analysis ([`conc`]) with its symbolic
 //! slice-region disjointness engine ([`disjoint`]):
@@ -43,7 +44,6 @@
 //!   plumbing.
 
 pub mod a2;
-pub mod bounds;
 pub mod cfg;
 pub mod conc;
 pub mod dataflow;

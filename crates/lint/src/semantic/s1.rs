@@ -12,7 +12,7 @@
 //! public can reach (internal test helpers, dead branches behind
 //! private constructors) no longer need allowlist entries.
 
-use super::{bounds, linear};
+use super::linear;
 use crate::ast::{expr_text, peel, ExprKind};
 use crate::model::{walk_block_exprs, FnInfo, Workspace};
 use crate::rules::{Finding, ScopeKind, NUMERIC_CRATES};
@@ -104,7 +104,6 @@ fn collect_dangers(ws: &Workspace) -> Vec<Danger> {
             continue;
         }
         let Some(body) = &f.body else { continue };
-        let facts = bounds::gather(body);
         let lfacts = linear::gather(f, &env);
         walk_block_exprs(body, &mut |e| match &e.kind {
             ExprKind::MethodCall { recv, method, .. }
@@ -128,10 +127,7 @@ fn collect_dangers(ws: &Workspace) -> Vec<Danger> {
                     desc: format!("`{}!`", path.last().unwrap()),
                 });
             }
-            ExprKind::Index { recv, index }
-                if !bounds::discharged(recv, index, &facts)
-                    && !linear::discharged(recv, index, &lfacts) =>
-            {
+            ExprKind::Index { recv, index } if !linear::discharged(recv, index, &lfacts) => {
                 out.push(Danger {
                     fn_id: f.id,
                     line: e.line,

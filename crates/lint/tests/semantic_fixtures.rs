@@ -113,31 +113,97 @@ fn s1_unreachable_and_test_sites_are_silent() {
 
 #[test]
 fn s1_bounds_prover_discharges_guarded_indexing() {
-    // Counter loops over asserted-equal lengths produce no findings;
-    // the same access with an arbitrary index does, with the entry
-    // point itself as the (one-element) chain.
-    let clean = "pub fn dot(xs: &[f32], ys: &[f32]) -> f32 {\n\
-                 \x20   assert_eq!(xs.len(), ys.len());\n\
-                 \x20   let mut acc = 0.0;\n\
-                 \x20   for i in 0..xs.len() {\n\
-                 \x20       acc += xs[i] * ys[i];\n\
-                 \x20   }\n\
-                 \x20   acc\n\
-                 }\n";
-    let (findings, _) = analyze(&[(CORE, clean)]);
-    assert!(rule(&findings, "S1").is_empty(), "{findings:#?}");
+    // Guarded shapes produce no findings: counter loops over
+    // length-equivalent bounds, modulo by the receiver's length,
+    // `assert!` guards, and length facts from `let`/`vec!`.
+    let clean = [
+        (
+            "counter loop over asserted-equal lengths",
+            "pub fn dot(xs: &[f32], ys: &[f32]) -> f32 {\n\
+             \x20   assert_eq!(xs.len(), ys.len());\n\
+             \x20   let mut acc = 0.0;\n\
+             \x20   for i in 0..xs.len() {\n\
+             \x20       acc += xs[i] * ys[i];\n\
+             \x20   }\n\
+             \x20   acc\n\
+             }\n",
+        ),
+        (
+            "counter over own len",
+            "pub fn f(xs: &[f32]) { for i in 0..xs.len() { let v = xs[i]; } }",
+        ),
+        (
+            "assert_eq!-linked second slice",
+            "pub fn f(a: &[f32], b: &[f32]) {\n\
+             assert_eq!(a.len(), b.len());\n\
+             for i in 0..a.len() { let v = a[i] + b[i]; } }",
+        ),
+        (
+            "modulo the receiver's len",
+            "pub fn f(xs: &[f32], j: usize) { let v = xs[j % xs.len()]; }",
+        ),
+        (
+            "enumerate counter",
+            "pub fn f(xs: &[f32], ys: &mut [f32]) {\n\
+             assert_eq!(xs.len(), ys.len());\n\
+             for (i, x) in xs.iter().enumerate() { ys[i] = *x; } }",
+        ),
+        (
+            "let n = xs.len()",
+            "pub fn f(xs: &[f32]) { let n = xs.len(); for i in 0..n { let v = xs[i]; } }",
+        ),
+        (
+            "vec![_; n] length",
+            "pub fn f(n: usize) { let v = vec![0.0f32; n]; for i in 0..n { let x = v[i]; } }",
+        ),
+        (
+            "assert!(j < xs.len())",
+            "pub fn f(xs: &[f32], j: usize) { assert!(j < xs.len()); let v = xs[j]; }",
+        ),
+        (
+            "xs[0] behind !is_empty()",
+            "pub fn f(xs: &[f32]) { assert!(!xs.is_empty()); let v = xs[0]; }",
+        ),
+        (
+            "zip-enumerate chain",
+            "pub fn f(a: &mut [f32], b: &[f32], m: &mut [f32]) {\n\
+             assert_eq!(m.len(), a.len());\n\
+             for (i, (p, g)) in a.iter_mut().zip(b).enumerate() { m[i] = *p + *g; } }",
+        ),
+    ];
+    for (shape, src) in clean {
+        let (findings, _) = analyze(&[(CORE, src)]);
+        assert!(rule(&findings, "S1").is_empty(), "{shape}: {findings:#?}");
+    }
 
-    let dirty = "pub fn pick(xs: &[f32], k: usize) -> f32 {\n\
-                 \x20   xs[k]\n\
-                 }\n";
-    let (findings, _) = analyze(&[(CORE, dirty)]);
-    let s1 = rule(&findings, "S1");
-    assert_eq!(s1.len(), 1, "{findings:#?}");
-    assert_eq!(s1[0].line, 2);
-    assert_eq!(
-        s1[0].message,
-        "unchecked index `xs[k]` reachable from public API via core::pick"
-    );
+    // Unguarded indexing yields exactly one finding, with the entry
+    // point itself as the (one-element) chain.
+    let dirty = [
+        (
+            "pub fn pick(xs: &[f32], k: usize) -> f32 {\n\
+             \x20   xs[k]\n\
+             }\n",
+            2,
+            "unchecked index `xs[k]` reachable from public API via core::pick",
+        ),
+        (
+            "pub fn f(xs: &[f32], j: usize) { let v = xs[j]; }",
+            1,
+            "unchecked index `xs[j]` reachable from public API via core::f",
+        ),
+        (
+            "pub fn f(xs: &[f32]) { assert!(!xs.is_empty()); let w = xs[1]; }",
+            1,
+            "unchecked index `xs[1]` reachable from public API via core::f",
+        ),
+    ];
+    for (src, line, message) in dirty {
+        let (findings, _) = analyze(&[(CORE, src)]);
+        let s1 = rule(&findings, "S1");
+        assert_eq!(s1.len(), 1, "{message}: {findings:#?}");
+        assert_eq!(s1[0].line, line);
+        assert_eq!(s1[0].message, message);
+    }
 }
 
 // --- S2: nondeterminism taint ----------------------------------------------

@@ -126,3 +126,77 @@ fn trace_structure_is_identical_across_thread_counts() {
         );
     }
 }
+
+/// Per-epoch mean losses and every final weight of one run, as bits.
+struct RunBits {
+    losses: Vec<u64>,
+    weights: Vec<u32>,
+}
+
+/// Trains `strategy` for four epochs on two workers, traced (telemetry
+/// handle plus an attached eta-prof session) or with no handle at all.
+fn run_bits(strategy: TrainingStrategy, traced: bool) -> RunBits {
+    let trainer = || {
+        Trainer::new(config(), strategy, 42)
+            .expect("trainer")
+            .with_parallelism(Parallelism::with_threads(2))
+    };
+    let dir = std::env::temp_dir().join(format!(
+        "eta_trace_roundtrip_observe_{strategy:?}_{}",
+        std::process::id()
+    ));
+    let (mut trainer, session) = if traced {
+        std::fs::remove_dir_all(&dir).ok();
+        let telemetry = Telemetry::new(RunManifest::capture(
+            "trace_roundtrip",
+            eta_telemetry::config_hash(&42u64),
+            42,
+        ));
+        let session = eta_prof::TraceSession::start(telemetry.clone(), &dir, "trace_roundtrip");
+        (trainer().with_telemetry(telemetry), Some(session))
+    } else {
+        (trainer(), None)
+    };
+    let report = trainer.run(&task(), 4).expect("training");
+    if let Some(session) = session {
+        let structure = session.tracer().structure();
+        assert!(
+            structure.contains_key("shard/layer_bp/bp_cell"),
+            "tracer saw no cell scopes"
+        );
+        session.finish().expect("trace export");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    let model = trainer.model();
+    let mut weights: Vec<f32> = Vec::new();
+    for layer in model.layers() {
+        let p = &layer.params;
+        weights.extend(p.w.as_slice().iter().chain(p.u.as_slice()).chain(&p.b));
+    }
+    let head = model.head();
+    weights.extend(head.w.as_slice().iter().chain(&head.b));
+    RunBits {
+        losses: report
+            .epochs
+            .iter()
+            .map(|e| e.mean_loss.to_bits())
+            .collect(),
+        weights: weights.iter().map(|w| w.to_bits()).collect(),
+    }
+}
+
+#[test]
+fn observing_a_run_never_changes_its_numbers() {
+    for strategy in [TrainingStrategy::Baseline, TrainingStrategy::CombinedAll] {
+        let plain = run_bits(strategy, false);
+        let traced = run_bits(strategy, true);
+        assert_eq!(
+            plain.losses, traced.losses,
+            "{strategy}: epoch losses diverged"
+        );
+        assert_eq!(
+            plain.weights, traced.weights,
+            "{strategy}: final weights diverged"
+        );
+    }
+}
